@@ -159,7 +159,7 @@ fn run_mode(
     policy: Option<SpillPolicy>,
     certified: u64,
     reps: usize,
-    baseline: &[sjos_exec::Tuple],
+    baseline: &sjos_exec::ResultSet,
 ) -> RunOutcome {
     let pattern = sjos::parse_pattern("//db//emp").expect("pattern parses");
     let plan = sort_plan();
@@ -206,7 +206,7 @@ fn run_mode(
         if result.metrics.peak_bytes > certified {
             out.bound_violations += 1;
         }
-        if result.tuples != baseline {
+        if result.tuples != *baseline {
             out.mismatches += 1;
         }
     }

@@ -1,11 +1,13 @@
 //! Plan execution against an [`XmlStore`].
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sjos_pattern::{Pattern, PnId, ValuePredicate};
 use sjos_storage::record::value_digest;
 use sjos_storage::XmlStore;
+use sjos_xml::NodeId;
 
 use crate::error::EngineError;
 use crate::guard::{GuardedOp, QueryGuard};
@@ -14,15 +16,16 @@ use crate::ops::{
     BoxedOperator, IndexScanOp, MergeJoinOp, OrderingCheck, SortOp, SpillPolicy, StackTreeJoinOp,
 };
 use crate::plan::PlanNode;
-use crate::tuple::{Schema, Tuple, TupleBatch, BATCH_ROWS};
+use crate::tuple::{ResultSet, Schema, TupleBatch, BATCH_ROWS};
 
 /// The materialized answer of one query execution.
 #[derive(Debug)]
 pub struct QueryResult {
     /// Column layout of `tuples`.
     pub schema: Schema,
-    /// All matches, in the order the plan produced them.
-    pub tuples: Vec<Tuple>,
+    /// All matches, in the order the plan produced them, held as the
+    /// root operator's batches.
+    pub tuples: ResultSet,
     /// Operator-level counters.
     pub metrics: MetricsSnapshot,
     /// Storage-level counters (delta over this execution).
@@ -43,22 +46,84 @@ impl QueryResult {
         self.len() == 0
     }
 
+    /// Bytes the materialized result holds allocated (0 in counting
+    /// mode).
+    ///
+    /// Reported, not enforced: the result is not charged to the
+    /// [`QueryGuard`], because the service sets the guard's memory
+    /// budget to the plan's certificate and certificates bound
+    /// operator buffers only. Charging it waits for certificates that
+    /// include the result set.
+    pub fn result_bytes(&self) -> u64 {
+        self.tuples.allocated_bytes() as u64
+    }
+
     /// Rows as `(pattern node -> element NodeId)` bindings in
     /// canonical pattern-node order, sorted — a stable form for
     /// comparing results across plans.
-    pub fn canonical_rows(&self) -> Vec<Vec<sjos_xml::NodeId>> {
+    ///
+    /// # Panics
+    /// Panics if the result holds more than `u32::MAX` rows.
+    pub fn canonical_rows(&self) -> Vec<Vec<NodeId>> {
         let mut order: Vec<usize> = (0..self.schema.width()).collect();
         order.sort_by_key(|&i| self.schema.columns()[i]);
-        let mut rows: Vec<Vec<sjos_xml::NodeId>> =
-            self.tuples.iter().map(|t| order.iter().map(|&i| t[i].node).collect()).collect();
-        rows.sort_unstable();
-        rows
+        // One contiguous NodeId column per pattern node, in canonical
+        // order. The sort permutes row numbers, not rows: one stable
+        // pass per column, last column first (LSD), leaves the rows
+        // in lexicographic order.
+        let columns: Vec<Vec<NodeId>> = order
+            .iter()
+            .map(|&c| {
+                let mut column = Vec::with_capacity(self.tuples.len());
+                for batch in self.tuples.batches() {
+                    column.extend(batch.column(c).iter().map(|e| e.node));
+                }
+                column
+            })
+            .collect();
+        let rows = u32::try_from(self.tuples.len()).expect("result rows fit in u32");
+        let mut perm: Vec<u32> = (0..rows).collect();
+        for column in columns.iter().rev() {
+            sort_by_column(&mut perm, column);
+        }
+        perm.into_iter().map(|r| columns.iter().map(|c| c[r as usize]).collect()).collect()
     }
+}
+
+/// Stable-sort the row numbers in `perm` by `column[row]`: a counting
+/// sort when the column's `NodeId` range is no wider than its length,
+/// a comparison sort otherwise.
+fn sort_by_column(perm: &mut Vec<u32>, column: &[NodeId]) {
+    let (Some(lo), Some(hi)) = (column.iter().min(), column.iter().max()) else {
+        return;
+    };
+    let range = (hi.0 - lo.0) as usize + 1;
+    if range > column.len() {
+        perm.sort_by_key(|&r| column[r as usize]);
+        return;
+    }
+    // starts[b] = first output slot of bucket b.
+    let mut starts = vec![0u32; range + 1];
+    for id in column {
+        starts[(id.0 - lo.0) as usize + 1] += 1;
+    }
+    for b in 1..range {
+        starts[b] += starts[b - 1];
+    }
+    let mut sorted = vec![0u32; perm.len()];
+    for &r in perm.iter() {
+        let b = (column[r as usize].0 - lo.0) as usize;
+        sorted[starts[b] as usize] = r;
+        starts[b] += 1;
+    }
+    *perm = sorted;
 }
 
 /// The raw batch stream of one execution, before any row-major
 /// materialization — what planck's executed-plan lint inspects to
-/// verify ordering and row-count invariants at the root boundary.
+/// verify ordering and row-count invariants at the root boundary. It
+/// is a materialized [`QueryResult`] with its [`ResultSet`] opened up
+/// into the batches it holds.
 #[derive(Debug)]
 pub struct BatchedResult {
     /// Column layout shared by every batch.
@@ -67,6 +132,16 @@ pub struct BatchedResult {
     pub batches: Vec<TupleBatch>,
     /// Operator-level counters.
     pub metrics: MetricsSnapshot,
+}
+
+impl From<QueryResult> for BatchedResult {
+    fn from(result: QueryResult) -> BatchedResult {
+        BatchedResult {
+            schema: Arc::new(result.schema),
+            batches: result.tuples.into_batches(),
+            metrics: result.metrics,
+        }
+    }
 }
 
 /// Execute `plan` for `pattern` against `store`, materializing every
@@ -213,29 +288,7 @@ pub fn execute_batches(
     pattern: &Pattern,
     plan: &PlanNode,
 ) -> Result<BatchedResult, EngineError> {
-    plan.validate(pattern).map_err(EngineError::InvalidPlan)?;
-    let metrics = ExecMetrics::new();
-    let guard = Arc::new(QueryGuard::unlimited());
-    let mut root = build_operator(store, pattern, plan, &metrics, BATCH_ROWS, &guard, None, None)?;
-    let mut batches = Vec::new();
-    let mut count: u64 = 0;
-    loop {
-        match root.next_batch() {
-            Ok(Some(batch)) => {
-                count += batch.len() as u64;
-                batches.push(batch);
-            }
-            Ok(None) => break,
-            Err(e) => {
-                ExecMetrics::add(&metrics.output_tuples, count);
-                return Err(attach_partial(e, &metrics));
-            }
-        }
-    }
-    ExecMetrics::add(&metrics.output_tuples, count);
-    let schema = root.schema().clone();
-    drop(root);
-    Ok(BatchedResult { schema, batches, metrics: metrics.snapshot() })
+    execute(store, pattern, plan).map(BatchedResult::from)
 }
 
 /// Replace a guard breach's placeholder snapshot with the real
@@ -263,29 +316,10 @@ pub(crate) fn execute_opts(
     let io_before = store.stats().snapshot();
     let started = Instant::now();
     let mut root = build_operator(store, pattern, plan, &metrics, batch_rows, guard, spill, None)?;
-    let mut tuples = Vec::new();
-    let mut count: u64 = 0;
-    let ordered_col = root.ordered_col();
-    let mut check = OrderingCheck::new();
-    loop {
-        match root.next_batch() {
-            Ok(Some(batch)) => {
-                debug_assert!(!batch.is_empty(), "operators must not emit empty batches");
-                check.check(&batch, ordered_col);
-                count += batch.len() as u64;
-                if materialize {
-                    tuples.extend(batch.into_rows());
-                }
-            }
-            Ok(None) => break,
-            Err(e) => {
-                ExecMetrics::add(&metrics.output_tuples, count);
-                return Err(attach_partial(e, &metrics));
-            }
-        }
-    }
+    let never = AtomicBool::new(false);
+    let tuples = drain(&mut root, &metrics, materialize, &never)?
+        .expect("an execution nobody can abort always completes");
     let elapsed = started.elapsed();
-    ExecMetrics::add(&metrics.output_tuples, count);
     let schema = root.schema().as_ref().clone();
     drop(root);
     Ok(QueryResult {
@@ -295,6 +329,46 @@ pub(crate) fn execute_opts(
         io: store.stats().snapshot().since(&io_before),
         elapsed,
     })
+}
+
+/// Pull `root` to exhaustion — the one root loop every execution
+/// path shares. Counts the rows into `output_tuples` and, when
+/// `materialize` is set, moves every batch into the returned
+/// [`ResultSet`]; otherwise the batches are dropped as they arrive.
+/// Returns `Ok(None)` once `abort` is raised (a parallel sibling
+/// failed).
+pub(crate) fn drain(
+    root: &mut BoxedOperator<'_>,
+    metrics: &ExecMetrics,
+    materialize: bool,
+    abort: &AtomicBool,
+) -> Result<Option<ResultSet>, EngineError> {
+    let mut tuples = ResultSet::new();
+    let mut count: u64 = 0;
+    let ordered_col = root.ordered_col();
+    let mut check = OrderingCheck::new();
+    loop {
+        if abort.load(Ordering::Relaxed) {
+            return Ok(None);
+        }
+        match root.next_batch() {
+            Ok(Some(batch)) => {
+                debug_assert!(!batch.is_empty(), "operators must not emit empty batches");
+                check.check(&batch, ordered_col);
+                count += batch.len() as u64;
+                if materialize {
+                    tuples.push(batch);
+                }
+            }
+            Ok(None) => break,
+            Err(e) => {
+                ExecMetrics::add(&metrics.output_tuples, count);
+                return Err(attach_partial(e, metrics));
+            }
+        }
+    }
+    ExecMetrics::add(&metrics.output_tuples, count);
+    Ok(Some(tuples))
 }
 
 /// Build the physical tree for `plan`, wrapping every operator in a
@@ -612,6 +686,42 @@ mod tests {
         assert_eq!(rows as u64, res.metrics.output_tuples);
         let col = res.schema.position(PnId(1)).unwrap();
         assert!(res.batches.iter().all(|b| b.is_sorted_by(col)));
+    }
+
+    /// `canonical_rows` reorders columns by pattern node and sorts
+    /// rows lexicographically, on both the counting-sort path (dense
+    /// ids) and the comparison path (sparse ids).
+    #[test]
+    fn canonical_rows_sorts_columns_and_rows() {
+        use crate::tuple::{Entry, ResultSet};
+        use sjos_xml::{NodeId, Region};
+        // Columns in layout order: pattern node 1, then 0.
+        let schema = Schema::new(vec![PnId(1), PnId(0)]);
+        let arc = Arc::new(schema.clone());
+        for scale in [1u32, 1000] {
+            let e = |id: u32| Entry {
+                node: NodeId(id * scale),
+                region: Region { start: 0, end: 0, level: 0 },
+            };
+            let rows = [[3, 2], [1, 2], [2, 1], [1, 1], [3, 2]];
+            let mut tuples = ResultSet::new();
+            for chunk in rows.chunks(2) {
+                let entries: Vec<[Entry; 2]> = chunk.iter().map(|r| [e(r[0]), e(r[1])]).collect();
+                tuples
+                    .push(TupleBatch::from_rows(Arc::clone(&arc), entries.iter().map(|r| &r[..])));
+            }
+            let result = QueryResult {
+                schema: schema.clone(),
+                tuples,
+                metrics: MetricsSnapshot::default(),
+                io: sjos_storage::iostats::IoSnapshot::default(),
+                elapsed: Duration::ZERO,
+            };
+            let mut expected: Vec<Vec<NodeId>> =
+                rows.iter().map(|r| vec![NodeId(r[1] * scale), NodeId(r[0] * scale)]).collect();
+            expected.sort();
+            assert_eq!(result.canonical_rows(), expected, "scale {scale}");
+        }
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub use parallel::{
     RegionPartition,
 };
 pub use plan::{JoinAlgo, OperatorContract, PlanNode};
-pub use tuple::{Entry, Schema, Tuple, TupleBatch, BATCH_ROWS};
+pub use tuple::{Entry, ResultSet, Row, Rows, Schema, Tuple, TupleBatch, BATCH_ROWS};
 
 #[cfg(test)]
 mod thread_safety {

@@ -38,9 +38,11 @@
 //! the thread hop, runs its morsel's operator pipeline under the
 //! *shared* [`QueryGuard`] (budgets bound the aggregate footprint;
 //! cancellation and deadlines are observed at every batch boundary of
-//! every worker), and parks its tuples and [`MetricsSnapshot`] in its
-//! morsel's slot. The first failure (lowest morsel index wins, so
-//! errors are deterministic) aborts the remaining workers.
+//! every worker), and parks its [`ResultSet`] and [`MetricsSnapshot`]
+//! in its morsel's slot. The stitch moves each morsel's batch list
+//! onto the result in morsel order; no row is copied. The first
+//! failure (lowest morsel index wins, so errors are deterministic)
+//! aborts the remaining workers.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -53,12 +55,11 @@ use sjos_storage::{IoTap, XmlStore};
 use sjos_xml::Region;
 
 use crate::error::EngineError;
-use crate::executor::{attach_partial, build_operator, execute_opts, QueryResult};
+use crate::executor::{build_operator, drain, execute_opts, QueryResult};
 use crate::guard::QueryGuard;
 use crate::metrics::{ExecMetrics, MetricsSnapshot};
-use crate::ops::OrderingCheck;
 use crate::plan::PlanNode;
-use crate::tuple::{Schema, Tuple, BATCH_ROWS};
+use crate::tuple::{ResultSet, Schema, BATCH_ROWS};
 
 /// How records flow into the cut chooser between guard checkpoints.
 const PREPASS_CHECK_EVERY: u64 = 4096;
@@ -311,8 +312,9 @@ pub fn stitch(parts: &[Vec<Region>], ranges: &[(u32, u32)]) -> Vec<Region> {
 /// that planck's PL068 and the benches audit.
 #[derive(Debug)]
 pub struct ParallelOutcome {
-    /// Merged result — tuples concatenated in morsel (document)
-    /// order, metrics summed per [`MetricsSnapshot::merged`].
+    /// Merged result — morsel batch lists appended in morsel
+    /// (document) order, metrics summed per
+    /// [`MetricsSnapshot::merged`].
     pub result: QueryResult,
     /// Interior cut points the partitioner chose (empty = serial).
     pub cuts: Vec<u32>,
@@ -479,11 +481,11 @@ pub fn execute_parallel_opts(
     // No failure, no abort: every slot is filled. Stitch in morsel
     // order — ranges ascend the start axis, so concatenation is the
     // serial emission order.
-    let mut tuples = Vec::new();
+    let mut tuples = ResultSet::new();
     let mut snapshots = Vec::with_capacity(morsels);
     for out in outs {
         let out = out.expect("all morsels completed");
-        tuples.extend(out.tuples);
+        tuples.append(out.tuples);
         snapshots.push(out.snapshot);
     }
     let elapsed = started.elapsed();
@@ -503,7 +505,7 @@ pub fn execute_parallel_opts(
 }
 
 struct MorselOut {
-    tuples: Vec<Tuple>,
+    tuples: ResultSet,
     snapshot: MetricsSnapshot,
 }
 
@@ -525,30 +527,9 @@ fn run_morsel(
     let metrics = ExecMetrics::new();
     let mut root =
         build_operator(store, pattern, plan, &metrics, batch_rows, guard, None, Some(range))?;
-    let mut tuples = Vec::new();
-    let mut count: u64 = 0;
-    let ordered_col = root.ordered_col();
-    let mut check = OrderingCheck::new();
-    loop {
-        if abort.load(Ordering::Relaxed) {
-            return Ok(None);
-        }
-        match root.next_batch() {
-            Ok(Some(batch)) => {
-                check.check(&batch, ordered_col);
-                count += batch.len() as u64;
-                if materialize {
-                    tuples.extend(batch.into_rows());
-                }
-            }
-            Ok(None) => break,
-            Err(e) => {
-                ExecMetrics::add(&metrics.output_tuples, count);
-                return Err(attach_partial(e, &metrics));
-            }
-        }
-    }
-    ExecMetrics::add(&metrics.output_tuples, count);
+    let Some(tuples) = drain(&mut root, &metrics, materialize, abort)? else {
+        return Ok(None);
+    };
     drop(root);
     Ok(Some(MorselOut { tuples, snapshot: metrics.snapshot() }))
 }

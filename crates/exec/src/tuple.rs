@@ -2,10 +2,14 @@
 //!
 //! The executor moves data in [`TupleBatch`]es — column-major arrays
 //! of [`Entry`] values sharing one [`Schema`] — rather than one
-//! heap-allocated row at a time. Row-major [`Tuple`]s remain the
-//! interchange format at the edges (materialized query results, join
-//! stack entries, test fixtures).
+//! heap-allocated row at a time. A query's materialized answer is a
+//! [`ResultSet`]: the root operator's batches, kept as emitted and
+//! read row by row through borrowed [`Row`] views. Row-major
+//! [`Tuple`]s remain the interchange format for join stack entries
+//! and test fixtures.
 
+use std::fmt;
+use std::ops::Index;
 use std::sync::Arc;
 
 use sjos_pattern::PnId;
@@ -210,10 +214,192 @@ impl TupleBatch {
     }
 
     /// Drain the batch into row-major tuples.
-    pub fn into_rows(self) -> Vec<Tuple> {
+    #[cfg(test)]
+    pub(crate) fn into_rows(self) -> Vec<Tuple> {
         (0..self.len()).map(|r| self.row(r)).collect()
     }
+
+    /// Bytes the column vectors hold allocated (capacity, not length).
+    fn allocated_bytes(&self) -> usize {
+        self.columns.iter().map(|c| c.capacity() * std::mem::size_of::<Entry>()).sum()
+    }
 }
+
+/// The materialized rows of one query: the root operator's batches,
+/// moved in as they arrive and never copied or concatenated.
+///
+/// Rows are read through [`Row`] views, so no row is ever allocated on
+/// its own. Equality and `Debug` go row by row, so two result sets
+/// holding the same rows compare equal however the rows are split
+/// into batches (a parallel run's morsels, a different `batch_rows`).
+#[derive(Clone, Default)]
+pub struct ResultSet {
+    batches: Vec<TupleBatch>,
+    len: usize,
+}
+
+impl ResultSet {
+    /// An empty result set.
+    pub(crate) fn new() -> ResultSet {
+        ResultSet::default()
+    }
+
+    /// Append `batch`, taking ownership of its columns. A column whose
+    /// capacity exceeds its length by more than a quarter is shrunk
+    /// first: join batches overshoot their target size, and that slack
+    /// would otherwise be retained for the life of the result.
+    pub(crate) fn push(&mut self, mut batch: TupleBatch) {
+        for col in &mut batch.columns {
+            if col.capacity() * 4 > col.len() * 5 {
+                col.shrink_to_fit();
+            }
+        }
+        self.len += batch.len();
+        self.batches.push(batch);
+    }
+
+    /// Move every batch of `other` onto the end of `self` — how the
+    /// parallel executor stitches morsel results in document order.
+    pub(crate) fn append(&mut self, mut other: ResultSet) {
+        self.len += other.len;
+        self.batches.append(&mut other.batches);
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the set holds no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Rows in order.
+    pub fn iter(&self) -> Rows<'_> {
+        Rows { batches: self.batches.iter(), batch: None, row: 0, remaining: self.len }
+    }
+
+    /// The batches, in the order the root operator emitted them.
+    pub fn batches(&self) -> &[TupleBatch] {
+        &self.batches
+    }
+
+    /// Give up the batches, in emission order.
+    pub(crate) fn into_batches(self) -> Vec<TupleBatch> {
+        self.batches
+    }
+
+    /// Bytes the retained columns hold allocated.
+    pub(crate) fn allocated_bytes(&self) -> usize {
+        self.batches.iter().map(TupleBatch::allocated_bytes).sum()
+    }
+}
+
+impl PartialEq for ResultSet {
+    fn eq(&self, other: &ResultSet) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for ResultSet {}
+
+impl fmt::Debug for ResultSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<'a> IntoIterator for &'a ResultSet {
+    type Item = Row<'a>;
+    type IntoIter = Rows<'a>;
+
+    fn into_iter(self) -> Rows<'a> {
+        self.iter()
+    }
+}
+
+/// One row of a [`ResultSet`], borrowed in place: `row[i]` is the
+/// entry in column `i`.
+#[derive(Clone, Copy)]
+pub struct Row<'a> {
+    batch: &'a TupleBatch,
+    row: usize,
+}
+
+impl<'a> Row<'a> {
+    /// Number of columns.
+    pub fn width(&self) -> usize {
+        self.batch.width()
+    }
+
+    /// The row's entries, in column order.
+    fn entries(&self) -> impl Iterator<Item = Entry> + 'a {
+        let row = self.row;
+        self.batch.columns.iter().map(move |c| c[row])
+    }
+
+    /// The row copied out as a row-major [`Tuple`].
+    pub fn to_tuple(&self) -> Tuple {
+        self.entries().collect()
+    }
+}
+
+impl Index<usize> for Row<'_> {
+    type Output = Entry;
+
+    fn index(&self, col: usize) -> &Entry {
+        &self.batch.columns[col][self.row]
+    }
+}
+
+impl PartialEq for Row<'_> {
+    fn eq(&self, other: &Row<'_>) -> bool {
+        self.width() == other.width() && self.entries().eq(other.entries())
+    }
+}
+
+impl Eq for Row<'_> {}
+
+impl fmt::Debug for Row<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.entries()).finish()
+    }
+}
+
+/// Iterator over the rows of a [`ResultSet`], in order.
+#[derive(Clone)]
+pub struct Rows<'a> {
+    batches: std::slice::Iter<'a, TupleBatch>,
+    batch: Option<&'a TupleBatch>,
+    row: usize,
+    remaining: usize,
+}
+
+impl<'a> Iterator for Rows<'a> {
+    type Item = Row<'a>;
+
+    fn next(&mut self) -> Option<Row<'a>> {
+        loop {
+            if let Some(batch) = self.batch {
+                if self.row < batch.len() {
+                    let row = Row { batch, row: self.row };
+                    self.row += 1;
+                    self.remaining -= 1;
+                    return Some(row);
+                }
+            }
+            self.batch = Some(self.batches.next()?);
+            self.row = 0;
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl ExactSizeIterator for Rows<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -287,5 +473,96 @@ mod tests {
         assert!(b.is_sorted_by(0));
         b.push_row(&[e(2, 3)]);
         assert!(!b.is_sorted_by(0));
+    }
+
+    fn batch_of(rows: &[[Entry; 2]]) -> TupleBatch {
+        let schema = Arc::new(Schema::new(vec![PnId(0), PnId(1)]));
+        TupleBatch::from_rows(schema, rows.iter().map(|r| &r[..]))
+    }
+
+    /// Six two-column rows, split into batches at `cuts`.
+    fn split_at(cuts: &[usize]) -> ResultSet {
+        let rows: Vec<[Entry; 2]> = (0..6).map(|i| [e(i, 100), e(10 + i, 10 + i)]).collect();
+        let mut set = ResultSet::new();
+        let mut lo = 0;
+        for hi in cuts.iter().copied().chain([rows.len()]) {
+            set.push(batch_of(&rows[lo..hi]));
+            lo = hi;
+        }
+        set
+    }
+
+    #[test]
+    fn result_set_equality_ignores_batch_boundaries() {
+        let one = split_at(&[]);
+        let three = split_at(&[1, 4]);
+        let singles = split_at(&[1, 2, 3, 4, 5]);
+        assert_eq!(one.batches().len(), 1);
+        assert_eq!(singles.batches().len(), 6);
+        assert_eq!(one, three);
+        assert_eq!(three, singles);
+        assert_eq!(format!("{one:?}"), format!("{singles:?}"));
+        let mut longer = split_at(&[2]);
+        longer.push(batch_of(&[[e(9, 9), e(9, 9)]]));
+        assert_ne!(one, longer);
+        let mut reordered = split_at(&[3]).into_batches();
+        reordered.swap(0, 1);
+        let mut swapped = ResultSet::new();
+        for b in reordered {
+            swapped.push(b);
+        }
+        assert_eq!(swapped.len(), one.len());
+        assert_ne!(one, swapped, "same rows in another order are a different result");
+    }
+
+    #[test]
+    fn result_set_rows_index_by_column_in_order() {
+        let set = split_at(&[2, 3]);
+        let starts: Vec<u32> = set.iter().map(|r| r[0].region.start).collect();
+        assert_eq!(starts, vec![0, 1, 2, 3, 4, 5]);
+        let row = set.iter().nth(3).unwrap();
+        assert_eq!(row.width(), 2);
+        assert_eq!(row[0], e(3, 100));
+        assert_eq!(row[1], e(13, 13));
+        assert_eq!(row.to_tuple(), vec![e(3, 100), e(13, 13)]);
+        assert_eq!(set.iter().len(), 6);
+        assert_eq!((&set).into_iter().count(), 6);
+    }
+
+    #[test]
+    fn empty_result_set() {
+        let set = ResultSet::new();
+        assert!(set.is_empty());
+        assert_eq!(set.len(), 0);
+        assert_eq!(set.iter().next(), None);
+        assert_eq!(set.allocated_bytes(), 0);
+        assert_eq!(set, ResultSet::default());
+        assert_eq!(format!("{set:?}"), "[]");
+    }
+
+    #[test]
+    fn append_moves_batches_and_sums_lengths() {
+        let mut left = split_at(&[2]);
+        let right = split_at(&[1, 3]);
+        left.append(right);
+        assert_eq!(left.len(), 12);
+        assert_eq!(left.iter().count(), 12);
+        assert_eq!(left.batches().len(), 5);
+        let mut empty = ResultSet::new();
+        empty.append(ResultSet::new());
+        assert!(empty.is_empty());
+        empty.append(left.clone());
+        assert_eq!(empty, left);
+    }
+
+    #[test]
+    fn push_trims_column_slack() {
+        let schema = Arc::new(Schema::singleton(PnId(0)));
+        let mut b = TupleBatch::with_capacity(schema, 64);
+        b.push_row(&[e(1, 2)]);
+        let mut set = ResultSet::new();
+        set.push(b);
+        assert!(set.batches()[0].columns[0].capacity() * 4 <= 5);
+        assert_eq!(set.allocated_bytes(), std::mem::size_of::<Entry>());
     }
 }

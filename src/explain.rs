@@ -86,17 +86,18 @@ fn render(
 }
 
 /// A one-paragraph summary of an executed query: plan class, work
-/// counters, and storage traffic. The `EXPLAIN ANALYZE` companion to
-/// [`explain`]. The counters are flushed batch-at-a-time by the
-/// vectorized operators but their totals are exact per tuple. When a
-/// sort spilled, a second segment reports the external-sort traffic;
-/// in-memory executions keep the classic one-line shape.
+/// counters, materialized result bytes, and storage traffic. The
+/// `EXPLAIN ANALYZE` companion to [`explain`]. The counters are
+/// flushed batch-at-a-time by the vectorized operators but their
+/// totals are exact per tuple. When a sort spilled, a second segment
+/// reports the external-sort traffic; in-memory executions keep the
+/// classic one-line shape.
 pub fn analyze_summary(result: &sjos_exec::QueryResult) -> String {
     let m = &result.metrics;
     let mut s = format!(
         "matches: {}  | operator tuples: {} | scanned: {} | stack push/pop: {}/{} | \
          buffered pairs: {} | rescans: {} | sorts: {} ({} tuples) | peak buffered: {} B | \
-         io: {} hits, {} reads, {} evictions | elapsed: {:.3} ms",
+         result: {} B | io: {} hits, {} reads, {} evictions | elapsed: {:.3} ms",
         m.output_tuples,
         m.produced_tuples,
         m.scanned_records,
@@ -107,6 +108,7 @@ pub fn analyze_summary(result: &sjos_exec::QueryResult) -> String {
         m.sort_operations,
         m.sorted_tuples,
         m.peak_bytes,
+        result.result_bytes(),
         result.io.buffer_hits,
         result.io.disk_reads,
         result.io.evictions,
@@ -173,6 +175,8 @@ mod tests {
         let s = analyze_summary(&out.result);
         assert!(s.contains("matches: 2"), "{s}");
         assert!(s.contains("peak buffered"), "{s}");
+        assert!(s.contains(&format!("result: {} B", out.result.result_bytes())), "{s}");
+        assert!(out.result.result_bytes() > 0, "{s}");
         assert!(s.contains("elapsed"), "{s}");
     }
 

@@ -62,7 +62,7 @@ pub use sjos_core::OptimizerError;
 pub use sjos_core::{optimize, Algorithm, CostModel, OptimizedPlan};
 pub use sjos_exec::{
     execute, BatchedResult, CancelToken, EngineError, GuardBreach, PlanNode, QueryGuard,
-    QueryResult, SpillPolicy, TupleBatch, BATCH_ROWS,
+    QueryResult, ResultSet, SpillPolicy, TupleBatch, BATCH_ROWS,
 };
 pub use sjos_pattern::{parse_pattern, Pattern};
 pub use sjos_stats::{Catalog, PatternEstimates};

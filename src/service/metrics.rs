@@ -28,6 +28,10 @@ pub struct ServiceMetrics {
     pub max_measured_peak: AtomicU64,
     /// Largest certified per-query peak admitted.
     pub max_certified_peak: AtomicU64,
+    /// Largest materialized result (`QueryResult::result_bytes`) seen.
+    /// Reported only: results are outside the certificate and the
+    /// guard until certificates include them.
+    pub max_result_bytes: AtomicU64,
     /// Queries the in-memory certificate could never fit that were
     /// re-certified and admitted in spill mode (PL066).
     pub degraded_admissions: AtomicU64,
@@ -64,6 +68,11 @@ impl ServiceMetrics {
         if measured > certified {
             self.bound_violations.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    /// Record a completed query's materialized result size.
+    pub fn record_result_bytes(&self, bytes: u64) {
+        self.max_result_bytes.fetch_max(bytes, Ordering::Relaxed);
     }
 
     /// Fold one completed query's spill counters into the aggregates.

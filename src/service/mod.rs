@@ -71,7 +71,8 @@ pub struct ServiceConfig {
     /// rejected outright.
     pub queue_capacity: usize,
     /// Maximum time a query waits in the admission queue (a query
-    /// deadline shortens this further).
+    /// deadline shortens this further; [`Session::query_with_patience`]
+    /// replaces it for one query).
     pub queue_timeout: Duration,
     /// Maximum resident plan-cache entries.
     pub plan_cache_capacity: usize,
@@ -238,7 +239,8 @@ impl QueryService {
     /// The full observability surface as one JSON object: query
     /// outcomes, plan-cache counters, admission state (budget vs.
     /// peak reservation, certified vs. measured peaks, bound
-    /// violations), latency percentiles, and one entry per session.
+    /// violations, the largest materialized result), latency
+    /// percentiles, and one entry per session.
     pub fn metrics_json(&self) -> String {
         let m = &self.inner.metrics;
         let adm = self.admission_snapshot();
@@ -253,7 +255,8 @@ impl QueryService {
              \"invalidations\":{},\"hit_rate\":{:.4},\"len\":{},\"capacity\":{}}},\n  \
              \"admission\":{{\"budget_bytes\":{},\"in_use_bytes\":{},\
              \"peak_reserved_bytes\":{},\"max_certified_peak_bytes\":{},\
-             \"max_measured_peak_bytes\":{},\"bound_violations\":{}}},\n  \
+             \"max_measured_peak_bytes\":{},\"bound_violations\":{},\
+             \"max_result_bytes\":{}}},\n  \
              \"spill\":{{\"degraded_admissions\":{},\"spilled_queries\":{},\
              \"spilled_runs\":{},\"spilled_bytes\":{},\"merge_passes\":{}}},\n  \
              \"latency\":{},\n  \"sessions\":[{}]\n}}",
@@ -275,6 +278,7 @@ impl QueryService {
             m.max_certified_peak.load(Ordering::Relaxed),
             m.max_measured_peak.load(Ordering::Relaxed),
             m.bound_violations.load(Ordering::Relaxed),
+            m.max_result_bytes.load(Ordering::Relaxed),
             m.degraded_admissions.load(Ordering::Relaxed),
             m.spilled_queries.load(Ordering::Relaxed),
             m.spilled_runs.load(Ordering::Relaxed),
@@ -334,7 +338,28 @@ impl Session {
         algorithm: Algorithm,
         deadline: Option<Duration>,
     ) -> Result<ServiceOutcome, ServiceError> {
-        let outcome = self.serve(query, algorithm, deadline);
+        let outcome = self.serve(query, algorithm, deadline, self.inner.config.queue_timeout);
+        self.account(outcome)
+    }
+
+    /// Serve a query with an explicit algorithm, waiting up to
+    /// `patience` for admission instead of the service's
+    /// [`ServiceConfig::queue_timeout`].
+    pub fn query_with_patience(
+        &self,
+        query: &str,
+        algorithm: Algorithm,
+        patience: Duration,
+    ) -> Result<ServiceOutcome, ServiceError> {
+        let outcome = self.serve(query, algorithm, None, patience);
+        self.account(outcome)
+    }
+
+    /// Count `outcome` against this session.
+    fn account(
+        &self,
+        outcome: Result<ServiceOutcome, ServiceError>,
+    ) -> Result<ServiceOutcome, ServiceError> {
         match &outcome {
             Ok(_) => {
                 self.metrics.completed.fetch_add(1, Ordering::Relaxed);
@@ -356,6 +381,7 @@ impl Session {
         query: &str,
         algorithm: Algorithm,
         deadline: Option<Duration>,
+        queue_timeout: Duration,
     ) -> Result<ServiceOutcome, ServiceError> {
         let inner = &*self.inner;
         let started = Instant::now();
@@ -397,8 +423,8 @@ impl Session {
         // mode (PL066), where sorts park their buffers in temp pages
         // and only the resident footprint counts.
         let wait_limit = match deadline {
-            Some(d) => inner.config.queue_timeout.min(d),
-            None => inner.config.queue_timeout,
+            Some(d) => queue_timeout.min(d),
+            None => queue_timeout,
         };
         // Parallel-first: a `parallelism > 1` service reserves
         // `workers ×` the certificate, the aggregate a shared-guard
@@ -491,6 +517,7 @@ impl Session {
                 inner.metrics.completed.fetch_add(1, Ordering::Relaxed);
                 inner.metrics.record_latency(started.elapsed());
                 inner.metrics.record_peaks(result.metrics.peak_bytes, certified);
+                inner.metrics.record_result_bytes(result.result_bytes());
                 inner.metrics.record_spill(&result.metrics);
                 Ok(ServiceOutcome {
                     result,

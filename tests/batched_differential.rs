@@ -2,15 +2,23 @@
 //! documents, every optimizer's plan — plus seeded random valid plans —
 //! executed at several batch granularities must return exactly the
 //! bindings the naive navigational evaluator finds, and the stack
-//! traffic counters must not move with the batch size.
+//! traffic counters must not move with the batch size. The
+//! materialized result set must hold exactly the root's row stream,
+//! in order, whatever the batch size and thread count.
+
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use sjos::core::random_plan;
-use sjos::datagen::{dblp::dblp, mbench::mbench, pers::pers, GenConfig};
-use sjos::{Algorithm, Database, PlanNode};
-use sjos_exec::{execute_with_batch_rows, naive, BATCH_ROWS};
+use sjos::datagen::{
+    dblp::dblp, fold_document, mbench::mbench, paper_queries, pers::pers, DataSet, GenConfig,
+};
+use sjos::{Algorithm, Database, PlanNode, QueryGuard};
+use sjos_exec::{
+    execute_parallel_opts, execute_with_batch_rows, naive, ParallelPolicy, Tuple, BATCH_ROWS,
+};
 
 /// Granularities under test: the tuple-at-a-time degenerate case, an
 /// awkward size that never divides the row counts, and production.
@@ -90,4 +98,52 @@ fn mbench_documents_across_seeds() {
 fn value_predicates_across_batch_sizes() {
     let db = Database::from_document(pers(GenConfig { target_nodes: 1_500, seed: 9 }));
     check(&db, "//department[./name[text()='sales']]/employee/name", 9);
+}
+
+/// The result set keeps the root's batches instead of copying rows
+/// out: for every Table-1 query, at every batch size and at 1 and 2
+/// threads, its row sequence must equal the row-major flattening of
+/// the root's batch stream, row for row and in the same order.
+#[test]
+fn result_set_rows_equal_the_flattened_root_stream() {
+    for ds in [DataSet::Mbench, DataSet::Dblp, DataSet::Pers] {
+        // Folded, so the 2-thread runs split into morsels.
+        let doc = match ds {
+            DataSet::Mbench => mbench(GenConfig::sized(700)),
+            DataSet::Dblp => dblp(GenConfig::sized(700)),
+            DataSet::Pers => pers(GenConfig::sized(600)),
+        };
+        let db = Database::from_document(fold_document(&doc, 4));
+        let mut split = false;
+        for q in paper_queries().into_iter().filter(|q| q.dataset == ds) {
+            let pattern = q.pattern();
+            let plan = db.optimize(&pattern, Algorithm::Dpp { lookahead: true }).unwrap().plan;
+            let stream = db.execute_batches(&pattern, &plan).unwrap();
+            let flat: Vec<Tuple> =
+                stream.batches.iter().flat_map(|b| (0..b.len()).map(move |r| b.row(r))).collect();
+            for batch_rows in BATCH_SIZES {
+                for threads in [1, 2] {
+                    let out = execute_parallel_opts(
+                        db.store(),
+                        &pattern,
+                        &plan,
+                        true,
+                        batch_rows,
+                        &Arc::new(QueryGuard::unlimited()),
+                        ParallelPolicy::with_threads(threads),
+                    )
+                    .unwrap_or_else(|e| panic!("{} @ {threads}t/{batch_rows}b: {e}", q.id));
+                    split |= out.morsel_count() > 1;
+                    let rows = &out.result.tuples;
+                    assert_eq!(rows.len(), flat.len(), "{} @ {threads}t/{batch_rows}b", q.id);
+                    assert!(
+                        rows.iter().map(|r| r.to_tuple()).eq(flat.iter().cloned()),
+                        "{} @ {threads}t/{batch_rows}b: row sequence diverged",
+                        q.id
+                    );
+                }
+            }
+        }
+        assert!(split, "{}: no 2-thread run split into morsels", ds.name());
+    }
 }

@@ -176,7 +176,12 @@ fn contended_budget_yields_queue_then_overloaded() {
         let holder_session = service.session();
         let holder = scope.spawn(move || {
             for _ in 0..6 {
-                holder_session.query_with(heavy, DPP).expect("holder runs clean");
+                // The holder has patience of its own: when the probe
+                // wins the budget first, the holder queues behind it
+                // instead of being the zero-patience contended arrival.
+                holder_session
+                    .query_with_patience(heavy, DPP, Duration::from_secs(60))
+                    .expect("holder runs clean");
             }
         });
         let session = service.session();
@@ -323,10 +328,12 @@ fn metrics_json_has_all_sections() {
         "\"sessions\"",
         "\"hit_rate\"",
         "\"bound_violations\":0",
+        "\"max_result_bytes\"",
         "\"p99_ms\"",
     ] {
         assert!(json.contains(needle), "missing {needle} in {json}");
     }
+    assert!(service.metrics().max_result_bytes.load(Ordering::Relaxed) > 0, "{json}");
 }
 
 /// Satellite regression for the queue-timeout edge: a deadline-
