@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 
 use sjos_core::Algorithm;
 use sjos_datagen::{pers::pers, GenConfig};
-use sjos_exec::{execute, JoinAlgo, PlanNode};
+use sjos_exec::{execute, execute_with, ExecOptions, JoinAlgo, PlanNode};
 use sjos_pattern::{parse_pattern, PnId};
 use sjos_storage::XmlStore;
 
@@ -110,8 +110,9 @@ fn bench_holistic_vs_binary(c: &mut Criterion) {
         .plan;
     let mut group = c.benchmark_group("holistic_vs_binary");
     group.sample_size(10);
+    let counting = ExecOptions { materialize: false, ..ExecOptions::default() };
     group.bench_function("binary_optimal", |b| {
-        b.iter(|| sjos_exec::execute_counting(&store, &pattern, &plan).unwrap().len());
+        b.iter(|| execute_with(&store, &pattern, &plan, &counting).unwrap().result.len());
     });
     group.bench_function("twigstack", |b| {
         b.iter(|| sjos_exec::holistic::evaluate(&store, &pattern).unwrap().rows.len());

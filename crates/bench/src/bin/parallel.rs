@@ -26,7 +26,7 @@
 //! `--smoke` shrinks the corpora and exits nonzero unless at least
 //! one query actually split into ≥ 2 morsels, zero runs disagreed
 //! with the serial engine, and a speedup was recorded for every
-//! (query, threads) cell.
+//! (query, threads) cell. Only a full run writes `BENCH_parallel.json`.
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -36,7 +36,7 @@ use sjos_core::Algorithm;
 use sjos_datagen::{
     dblp::dblp, fold_document, mbench::mbench, paper_queries, pers::pers, DataSet, GenConfig,
 };
-use sjos_exec::MetricsSnapshot;
+use sjos_exec::{ExecMode, ExecOptions, MetricsSnapshot, ParallelPolicy};
 
 /// Thread counts swept per query; the first entry must be 1 (serial
 /// ground truth).
@@ -162,7 +162,7 @@ fn main() -> ExitCode {
                 let mut times = Vec::with_capacity(args.reps);
                 let mut last = None;
                 for _ in 0..args.reps {
-                    let out = bench.run_plan_parallel_counting(&pattern, &plan, threads);
+                    let out = bench.run_plan(&pattern, &plan, &counting(threads));
                     times.push(out.result.elapsed);
                     last = Some(out);
                 }
@@ -253,14 +253,6 @@ fn main() -> ExitCode {
         summary.push((ds.to_string(), geomean));
     }
 
-    let json = render_json(&args, cpus, &rows, &summary, widest);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_parallel.json");
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("cannot write {path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {path}");
-
     if args.smoke {
         // The CI gate: partitioning must actually happen and must be
         // invisible; scaling numbers are recorded, not thresholded
@@ -285,11 +277,25 @@ fn main() -> ExitCode {
         );
         return ExitCode::SUCCESS;
     }
+    let json = render_json(&args, cpus, &rows, &summary, widest);
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_parallel.json");
+    if let Err(e) = std::fs::write(path, &json) {
+        eprintln!("cannot write {path}: {e}");
+        return ExitCode::FAILURE;
+    }
+    println!("wrote {path}");
     if mismatches > 0 {
         eprintln!("FAIL: {mismatches} parallel runs disagreed with the serial engine");
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+/// Counting execution across `threads` workers (1 = the serial
+/// engine).
+fn counting(threads: usize) -> ExecOptions {
+    let mode = ExecMode::Parallel(ParallelPolicy::with_threads(threads));
+    ExecOptions { mode, materialize: false, ..ExecOptions::default() }
 }
 
 /// Hand-rolled JSON (the workspace deliberately carries no serde):

@@ -25,7 +25,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use sjos::pattern::PnId;
-use sjos::{Database, PlanNode, QueryGuard, SpillPolicy, BATCH_ROWS};
+use sjos::{Database, ExecMode, ExecOptions, PlanNode, QueryGuard, SpillPolicy, BATCH_ROWS};
 use sjos_exec::JoinAlgo;
 use sjos_pattern::Axis;
 use sjos_xml::{Document, DocumentBuilder};
@@ -183,17 +183,10 @@ fn run_mode(
         leaked_temp_pages: 0,
     };
     for _ in 0..reps {
-        let mut guard = QueryGuard::unlimited();
-        if let Some(b) = budget {
-            guard = guard.with_memory_budget(b);
-        }
-        let guard = Arc::new(guard);
+        let opts = options(policy, budget);
         let started = Instant::now();
-        let result = match policy {
-            Some(p) => sjos_exec::execute_guarded_spill(db.store(), &pattern, &plan, &guard, p),
-            None => sjos_exec::execute_guarded(db.store(), &pattern, &plan, &guard),
-        }
-        .expect("bench execution completes");
+        let result =
+            db.execute_with(&pattern, &plan, &opts).expect("bench execution completes").result;
         let secs = started.elapsed().as_secs_f64();
         out.best_secs = out.best_secs.min(secs);
         out.rows_out = result.metrics.output_tuples;
@@ -215,6 +208,17 @@ fn run_mode(
         out.rows_per_sec = out.rows_out as f64 / out.best_secs;
     }
     out
+}
+
+/// Serial options spilling under `policy` (in memory when `None`),
+/// with an optional memory budget.
+fn options(policy: Option<SpillPolicy>, budget: Option<usize>) -> ExecOptions {
+    let mut guard = QueryGuard::unlimited();
+    if let Some(b) = budget {
+        guard = guard.with_memory_budget(b);
+    }
+    let mode = policy.map_or(ExecMode::Serial, ExecMode::Spill);
+    ExecOptions { mode, guard: Arc::new(guard), ..ExecOptions::default() }
 }
 
 fn main() -> ExitCode {
@@ -239,7 +243,8 @@ fn main() -> ExitCode {
     for &emps in &args.sizes {
         let db = Database::from_document(wide_doc(emps));
         let full = db.resource_bounds(&pattern, &plan);
-        let floor = db.resource_bounds_spill(&pattern, &plan, SpillPolicy::with_threshold(0));
+        let zero = Some(SpillPolicy::with_threshold(0));
+        let floor = db.admit(&pattern, &plan, &options(zero, None)).0;
         assert!(
             floor.peak_bytes < full.peak_bytes,
             "corpus of {emps} emps too small: spill floor {} ≥ full bound {}",
@@ -252,8 +257,8 @@ fn main() -> ExitCode {
         // to end: the in-memory certificate rejects at the floor
         // budget, the spill certificate admits.
         let floor_budget = usize::try_from(floor.peak_bytes).expect("budget fits usize");
-        let in_memory = sjos::planck::admit(&full, Some(floor.peak_bytes), None);
-        let degraded = sjos::planck::admit_spill(&floor, Some(floor.peak_bytes), None);
+        let (_, in_memory) = db.admit(&pattern, &plan, &options(None, Some(floor_budget)));
+        let (_, degraded) = db.admit(&pattern, &plan, &options(zero, Some(floor_budget)));
         assert!(!in_memory.is_clean(), "floor budget must reject the in-memory certificate");
         assert!(degraded.is_clean(), "floor budget must admit the spill certificate");
 
@@ -275,7 +280,7 @@ fn main() -> ExitCode {
             ("spill-mid", Some(mid_budget), SpillPolicy::for_budget(mid_budget, 2, BATCH_ROWS), {
                 let p = SpillPolicy::for_budget(mid_budget, 2, BATCH_ROWS)
                     .expect("mid budget admits a policy");
-                db.resource_bounds_spill(&pattern, &plan, p).peak_bytes
+                db.admit(&pattern, &plan, &options(Some(p), None)).0.peak_bytes
             }),
         ] {
             if mode != "in-memory" {

@@ -15,6 +15,7 @@ use crate::metrics::{ExecMetrics, MetricsSnapshot};
 use crate::ops::{
     BoxedOperator, IndexScanOp, MergeJoinOp, OrderingCheck, SortOp, SpillPolicy, StackTreeJoinOp,
 };
+use crate::parallel::ParallelPolicy;
 use crate::plan::PlanNode;
 use crate::tuple::{ResultSet, Schema, TupleBatch, BATCH_ROWS};
 
@@ -144,8 +145,99 @@ impl From<QueryResult> for BatchedResult {
     }
 }
 
-/// Execute `plan` for `pattern` against `store`, materializing every
-/// result tuple.
+/// How one execution runs: the three shapes are exclusive, so a
+/// spilling run is never parallel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExecMode {
+    /// One pipeline on the calling thread, every sort in memory.
+    Serial,
+    /// Morsel-partitioned across the policy's workers (see
+    /// [`crate::parallel`]); falls back to the serial engine when the
+    /// policy has one thread or no valid cut exists. Sorts stay in
+    /// memory: morsels already shrink each sort's input.
+    Parallel(ParallelPolicy),
+    /// Serial, with every sort allowed to degrade to a spill-to-disk
+    /// external sort under the policy instead of breaching the guard's
+    /// memory budget. Results are bit-identical to the in-memory run;
+    /// the price is temp-page I/O, visible in the metrics
+    /// (`spilled_runs`, `spilled_bytes`) and I/O counters
+    /// (`spill_page_writes`, `spill_page_reads`).
+    Spill(SpillPolicy),
+}
+
+/// Everything about one execution except the plan: the mode, the
+/// resource guard, the batch granularity and whether rows are kept.
+/// The same options drive planck's bound analysis, admission and
+/// soundness replay, so a certificate always describes the run it
+/// admits.
+#[derive(Debug, Clone)]
+pub struct ExecOptions {
+    /// Serial, parallel or spilling.
+    pub mode: ExecMode,
+    /// Deadline, batch budget, memory budget and cancellation, checked
+    /// at every batch boundary (shared by all workers of a parallel
+    /// run, so its counters are the aggregate). On a breach the
+    /// returned [`EngineError::Guard`] carries the metrics accumulated
+    /// so far.
+    pub guard: Arc<QueryGuard>,
+    /// Target rows per batch. `1` degenerates to the tuple-at-a-time
+    /// engine (one dispatch and one metrics flush per tuple); metric
+    /// totals are identical for every batch size.
+    pub batch_rows: usize,
+    /// Keep the result rows. When false the batches are dropped as
+    /// they arrive (`tuples` stays empty, `metrics.output_tuples`
+    /// still counts them) — for measurement runs whose result sets
+    /// would not fit comfortably in memory.
+    pub materialize: bool,
+}
+
+impl Default for ExecOptions {
+    /// Serial, unlimited guard, [`BATCH_ROWS`], materializing.
+    fn default() -> ExecOptions {
+        ExecOptions {
+            mode: ExecMode::Serial,
+            guard: Arc::new(QueryGuard::unlimited()),
+            batch_rows: BATCH_ROWS,
+            materialize: true,
+        }
+    }
+}
+
+/// The answer of one execution plus its partition evidence (cut
+/// points and per-morsel snapshots) that planck's PL068 and the
+/// benches audit.
+#[derive(Debug)]
+pub struct Execution {
+    /// The result — for a partitioned run, the morsel batch lists
+    /// appended in morsel (document) order, metrics summed per
+    /// [`MetricsSnapshot::merged`].
+    pub result: QueryResult,
+    /// Interior cut points the partitioner chose (empty = serial).
+    pub cuts: Vec<u32>,
+    /// Per-morsel metric snapshots, in morsel order (one for a serial
+    /// run).
+    pub morsel_snapshots: Vec<MetricsSnapshot>,
+}
+
+impl Execution {
+    /// Number of morsels the query ran as (1 = serial).
+    pub fn morsel_count(&self) -> usize {
+        self.morsel_snapshots.len()
+    }
+}
+
+/// Execute `plan` for `pattern` against `store` with the default
+/// [`ExecOptions`]: serial, unguarded, materializing every result
+/// tuple.
+pub fn execute(
+    store: &XmlStore,
+    pattern: &Pattern,
+    plan: &PlanNode,
+) -> Result<QueryResult, EngineError> {
+    execute_with(store, pattern, plan, &ExecOptions::default()).map(|e| e.result)
+}
+
+/// Execute `plan` for `pattern` against `store` as `opts` says.
 ///
 /// The plan is validated first (every pattern node bound exactly once,
 /// join inputs correctly ordered, axes matching); a malformed plan is
@@ -153,142 +245,29 @@ impl From<QueryResult> for BatchedResult {
 /// storage fault that survives the buffer pool's retries surfaces as
 /// [`EngineError::Storage`] — never a panic, never a silently wrong
 /// answer.
-pub fn execute(
+pub fn execute_with(
     store: &XmlStore,
     pattern: &Pattern,
     plan: &PlanNode,
-) -> Result<QueryResult, EngineError> {
-    execute_opts(store, pattern, plan, true, BATCH_ROWS, &Arc::new(QueryGuard::unlimited()), None)
+    opts: &ExecOptions,
+) -> Result<Execution, EngineError> {
+    plan.validate(pattern).map_err(EngineError::InvalidPlan)?;
+    match opts.mode {
+        ExecMode::Serial => run_serial(store, pattern, plan, opts, None),
+        ExecMode::Spill(policy) => run_serial(store, pattern, plan, opts, Some(policy)),
+        ExecMode::Parallel(policy) => crate::parallel::run(store, pattern, plan, opts, policy),
+    }
 }
 
-/// [`execute`] under an explicit resource [`QueryGuard`]: deadline,
-/// batch budget, memory budget, and cancellation are checked at every
-/// batch boundary of the operator tree. On a breach the returned
-/// [`EngineError::Guard`] carries the metrics accumulated so far.
+/// [`execute`] under an explicit resource [`QueryGuard`].
 pub fn execute_guarded(
     store: &XmlStore,
     pattern: &Pattern,
     plan: &PlanNode,
     guard: &Arc<QueryGuard>,
 ) -> Result<QueryResult, EngineError> {
-    execute_opts(store, pattern, plan, true, BATCH_ROWS, guard, None)
-}
-
-/// [`execute_guarded`] in *spill mode*: every sort in the plan may
-/// degrade to a spill-to-disk external sort under `policy` instead of
-/// breaching the guard's memory budget. Results are bit-identical to
-/// the in-memory execution; the price is temp-page I/O, visible in
-/// the result's metrics (`spilled_runs`, `spilled_bytes`) and I/O
-/// counters (`spill_page_writes`, `spill_page_reads`). This is the
-/// entry point the service's degraded admission path uses.
-pub fn execute_guarded_spill(
-    store: &XmlStore,
-    pattern: &Pattern,
-    plan: &PlanNode,
-    guard: &Arc<QueryGuard>,
-    policy: SpillPolicy,
-) -> Result<QueryResult, EngineError> {
-    execute_opts(store, pattern, plan, true, BATCH_ROWS, guard, Some(policy))
-}
-
-/// [`execute_guarded_spill`] without result materialization.
-pub fn execute_counting_guarded_spill(
-    store: &XmlStore,
-    pattern: &Pattern,
-    plan: &PlanNode,
-    guard: &Arc<QueryGuard>,
-    policy: SpillPolicy,
-) -> Result<QueryResult, EngineError> {
-    execute_opts(store, pattern, plan, false, BATCH_ROWS, guard, Some(policy))
-}
-
-/// [`execute_guarded_spill`] with an explicit batch granularity — the
-/// spill twin of [`execute_guarded_with_batch_rows`], used by the
-/// differential suites to prove spilling is invisible in the answer
-/// at every batch size.
-pub fn execute_spill_with_batch_rows(
-    store: &XmlStore,
-    pattern: &Pattern,
-    plan: &PlanNode,
-    batch_rows: usize,
-    guard: &Arc<QueryGuard>,
-    policy: SpillPolicy,
-) -> Result<QueryResult, EngineError> {
-    execute_opts(store, pattern, plan, true, batch_rows, guard, Some(policy))
-}
-
-/// Like [`execute`], but discard tuples as they are produced (the
-/// result's `tuples` is empty; `metrics.output_tuples` still counts
-/// them). Use for measurement runs whose result sets would not fit
-/// comfortably in memory — the plan still performs all its work.
-pub fn execute_counting(
-    store: &XmlStore,
-    pattern: &Pattern,
-    plan: &PlanNode,
-) -> Result<QueryResult, EngineError> {
-    execute_opts(store, pattern, plan, false, BATCH_ROWS, &Arc::new(QueryGuard::unlimited()), None)
-}
-
-/// [`execute_counting`] under an explicit resource [`QueryGuard`].
-pub fn execute_counting_guarded(
-    store: &XmlStore,
-    pattern: &Pattern,
-    plan: &PlanNode,
-    guard: &Arc<QueryGuard>,
-) -> Result<QueryResult, EngineError> {
-    execute_opts(store, pattern, plan, false, BATCH_ROWS, guard, None)
-}
-
-/// [`execute_counting`] with an explicit batch granularity.
-///
-/// `batch_rows = 1` degenerates to the tuple-at-a-time engine this
-/// refactor replaced (one dispatch and one metrics flush per tuple) —
-/// the before/after knob the pipeline benchmark uses. Metrics totals
-/// are identical for every batch size.
-pub fn execute_counting_with_batch_rows(
-    store: &XmlStore,
-    pattern: &Pattern,
-    plan: &PlanNode,
-    batch_rows: usize,
-) -> Result<QueryResult, EngineError> {
-    execute_opts(store, pattern, plan, false, batch_rows, &Arc::new(QueryGuard::unlimited()), None)
-}
-
-/// [`execute`] with an explicit batch granularity — the materializing
-/// twin of [`execute_counting_with_batch_rows`], used by the
-/// differential tests to prove batching is invisible in the answer.
-pub fn execute_with_batch_rows(
-    store: &XmlStore,
-    pattern: &Pattern,
-    plan: &PlanNode,
-    batch_rows: usize,
-) -> Result<QueryResult, EngineError> {
-    execute_opts(store, pattern, plan, true, batch_rows, &Arc::new(QueryGuard::unlimited()), None)
-}
-
-/// [`execute_guarded`] with an explicit batch granularity — the
-/// entry point planck's bound-soundness lint (PL064) replays plans
-/// through, so the guard's pull counter and the metrics' peak-bytes
-/// high-water mark are both observable at any batch size.
-pub fn execute_guarded_with_batch_rows(
-    store: &XmlStore,
-    pattern: &Pattern,
-    plan: &PlanNode,
-    batch_rows: usize,
-    guard: &Arc<QueryGuard>,
-) -> Result<QueryResult, EngineError> {
-    execute_opts(store, pattern, plan, true, batch_rows, guard, None)
-}
-
-/// Execute `plan` and keep the root operator's batches as emitted,
-/// without flattening to row-major tuples. This is the inspection
-/// entry point for planck's `PL034` executed-plan lint.
-pub fn execute_batches(
-    store: &XmlStore,
-    pattern: &Pattern,
-    plan: &PlanNode,
-) -> Result<BatchedResult, EngineError> {
-    execute(store, pattern, plan).map(BatchedResult::from)
+    let opts = ExecOptions { guard: Arc::clone(guard), ..ExecOptions::default() };
+    execute_with(store, pattern, plan, &opts).map(|e| e.result)
 }
 
 /// Replace a guard breach's placeholder snapshot with the real
@@ -302,33 +281,35 @@ pub(crate) fn attach_partial(e: EngineError, metrics: &ExecMetrics) -> EngineErr
     }
 }
 
-pub(crate) fn execute_opts(
+/// One pipeline on the calling thread; `spill` lets every sort
+/// spill under the policy.
+pub(crate) fn run_serial(
     store: &XmlStore,
     pattern: &Pattern,
     plan: &PlanNode,
-    materialize: bool,
-    batch_rows: usize,
-    guard: &Arc<QueryGuard>,
+    opts: &ExecOptions,
     spill: Option<SpillPolicy>,
-) -> Result<QueryResult, EngineError> {
-    plan.validate(pattern).map_err(EngineError::InvalidPlan)?;
+) -> Result<Execution, EngineError> {
     let metrics = ExecMetrics::new();
     let io_before = store.stats().snapshot();
     let started = Instant::now();
-    let mut root = build_operator(store, pattern, plan, &metrics, batch_rows, guard, spill, None)?;
+    let mut root =
+        build_operator(store, pattern, plan, &metrics, opts.batch_rows, &opts.guard, spill, None)?;
     let never = AtomicBool::new(false);
-    let tuples = drain(&mut root, &metrics, materialize, &never)?
+    let tuples = drain(&mut root, &metrics, opts.materialize, &never)?
         .expect("an execution nobody can abort always completes");
     let elapsed = started.elapsed();
     let schema = root.schema().as_ref().clone();
     drop(root);
-    Ok(QueryResult {
+    let snapshot = metrics.snapshot();
+    let result = QueryResult {
         schema,
         tuples,
-        metrics: metrics.snapshot(),
+        metrics: snapshot,
         io: store.stats().snapshot().since(&io_before),
         elapsed,
-    })
+    };
+    Ok(Execution { result, cuts: Vec::new(), morsel_snapshots: vec![snapshot] })
 }
 
 /// Pull `root` to exhaustion — the one root loop every execution
@@ -668,8 +649,11 @@ mod tests {
             axis: Axis::Child,
             algo: JoinAlgo::StackTreeDesc,
         };
-        let wide = execute_counting(&st, &pat, &plan).unwrap();
-        let narrow = execute_counting_with_batch_rows(&st, &pat, &plan, 1).unwrap();
+        let counting = ExecOptions { materialize: false, ..ExecOptions::default() };
+        let wide = execute_with(&st, &pat, &plan, &counting).unwrap().result;
+        let narrow = execute_with(&st, &pat, &plan, &ExecOptions { batch_rows: 1, ..counting })
+            .unwrap()
+            .result;
         assert_eq!(wide.metrics.output_tuples, narrow.metrics.output_tuples);
         assert_eq!(wide.metrics.produced_tuples, narrow.metrics.produced_tuples);
         assert_eq!(wide.metrics.stack_pushes, narrow.metrics.stack_pushes);
@@ -678,10 +662,10 @@ mod tests {
     }
 
     #[test]
-    fn execute_batches_exposes_ordered_root_stream() {
+    fn batched_result_exposes_ordered_root_stream() {
         let st = store();
         let pat = parse_pattern("//dept//emp").unwrap();
-        let res = execute_batches(&st, &pat, &two_way_plan()).unwrap();
+        let res = BatchedResult::from(execute(&st, &pat, &two_way_plan()).unwrap());
         let rows: usize = res.batches.iter().map(TupleBatch::len).sum();
         assert_eq!(rows as u64, res.metrics.output_tuples);
         let col = res.schema.position(PnId(1)).unwrap();

@@ -23,6 +23,13 @@
 //! * [`ops::SortOp`] — blocking sort of an intermediate result by any
 //!   bound pattern node.
 //!
+//! One entry point runs a plan: [`execute_with`] under an
+//! [`ExecOptions`] — an [`ExecMode`] (`Serial`, `Parallel` or
+//! `Spill`), a [`QueryGuard`], the batch granularity and whether rows
+//! are kept. [`execute`] runs the defaults; [`execute_guarded`],
+//! [`execute_parallel_guarded`] and [`execute_parallel_opts`] are
+//! one-line forwards kept for existing callers.
+//!
 //! [`parallel`] adds morsel-driven intra-query parallelism: valid
 //! cuts on the region `start` axis split every binding list into
 //! region-disjoint morsels whose independent executions reproduce the
@@ -47,18 +54,15 @@ pub mod tuple;
 
 pub use error::{EngineError, ExecError, GuardBreach};
 pub use executor::{
-    execute, execute_batches, execute_counting, execute_counting_guarded,
-    execute_counting_guarded_spill, execute_counting_with_batch_rows, execute_guarded,
-    execute_guarded_spill, execute_guarded_with_batch_rows, execute_spill_with_batch_rows,
-    execute_with_batch_rows, BatchedResult, QueryResult,
+    execute, execute_guarded, execute_with, BatchedResult, ExecMode, ExecOptions, Execution,
+    QueryResult,
 };
 pub use guard::{CancelToken, GuardedOp, QueryGuard};
 pub use metrics::{ExecMetrics, MetricsSnapshot};
 pub use ops::SpillPolicy;
 pub use parallel::{
-    execute_parallel, execute_parallel_counting, execute_parallel_guarded, execute_parallel_opts,
-    partition_regions, plan_partition, scatter, stitch, ParallelOutcome, ParallelPolicy,
-    RegionPartition,
+    execute_parallel_guarded, execute_parallel_opts, partition_regions, plan_partition, scatter,
+    stitch, ParallelPolicy, RegionPartition,
 };
 pub use plan::{JoinAlgo, OperatorContract, PlanNode};
 pub use tuple::{Entry, ResultSet, Row, Rows, Schema, Tuple, TupleBatch, BATCH_ROWS};
@@ -87,6 +91,7 @@ mod thread_safety {
         assert_send::<GuardedOp<'static>>();
         assert_send_sync::<ParallelPolicy>();
         assert_send_sync::<RegionPartition>();
-        assert_send_sync::<ParallelOutcome>();
+        assert_send_sync::<Execution>();
+        assert_send_sync::<ExecOptions>();
     }
 }

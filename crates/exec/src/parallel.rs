@@ -55,36 +55,38 @@ use sjos_storage::{IoTap, XmlStore};
 use sjos_xml::Region;
 
 use crate::error::EngineError;
-use crate::executor::{build_operator, drain, execute_opts, QueryResult};
+use crate::executor::{
+    build_operator, drain, execute_with, run_serial, ExecMode, ExecOptions, Execution, QueryResult,
+};
 use crate::guard::QueryGuard;
 use crate::metrics::{ExecMetrics, MetricsSnapshot};
 use crate::plan::PlanNode;
-use crate::tuple::{ResultSet, Schema, BATCH_ROWS};
+use crate::tuple::{ResultSet, Schema};
 
 /// How records flow into the cut chooser between guard checkpoints.
 const PREPASS_CHECK_EVERY: u64 = 4096;
+
+/// Morsels targeted per worker; more than one keeps the pool busy
+/// when morsel sizes are skewed (work stealing via the shared morsel
+/// counter).
+const MORSELS_PER_THREAD: usize = 4;
 
 /// Parallelism knobs for one execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelPolicy {
     /// Worker threads (1 = the serial engine, no pool).
     pub threads: usize,
-    /// Morsels targeted per worker; more than one keeps the pool busy
-    /// when morsel sizes are skewed (work stealing via the shared
-    /// morsel counter).
-    pub morsels_per_thread: usize,
 }
 
 impl ParallelPolicy {
-    /// `threads` workers at the default morsel granularity (4 morsels
-    /// per worker).
+    /// `threads` workers (at least one).
     pub fn with_threads(threads: usize) -> ParallelPolicy {
-        ParallelPolicy { threads: threads.max(1), morsels_per_thread: 4 }
+        ParallelPolicy { threads: threads.max(1) }
     }
 
     /// Total morsels the partitioner aims for.
     pub fn target_morsels(&self) -> usize {
-        self.threads.max(1) * self.morsels_per_thread.max(1)
+        self.threads.max(1) * MORSELS_PER_THREAD
     }
 }
 
@@ -307,91 +309,28 @@ pub fn stitch(parts: &[Vec<Region>], ranges: &[(u32, u32)]) -> Vec<Region> {
     out
 }
 
-/// The answer of one parallel execution: the merged [`QueryResult`]
-/// plus the partition evidence (per-morsel snapshots and cut points)
-/// that planck's PL068 and the benches audit.
-#[derive(Debug)]
-pub struct ParallelOutcome {
-    /// Merged result — morsel batch lists appended in morsel
-    /// (document) order, metrics summed per
-    /// [`MetricsSnapshot::merged`].
-    pub result: QueryResult,
-    /// Interior cut points the partitioner chose (empty = serial).
-    pub cuts: Vec<u32>,
-    /// Per-morsel metric snapshots, in morsel order.
-    pub morsel_snapshots: Vec<MetricsSnapshot>,
-    /// Worker threads the pool actually used.
-    pub threads_used: usize,
-}
-
-impl ParallelOutcome {
-    /// Number of morsels the query ran as (1 = serial fallback).
-    pub fn morsel_count(&self) -> usize {
-        self.morsel_snapshots.len()
-    }
-}
-
-/// Execute `plan` across `threads` workers, materializing results.
-/// Falls back to the serial engine when `threads <= 1` or no valid
-/// cut exists.
-pub fn execute_parallel(
-    store: &XmlStore,
-    pattern: &Pattern,
-    plan: &PlanNode,
-    threads: usize,
-) -> Result<ParallelOutcome, EngineError> {
-    execute_parallel_opts(
-        store,
-        pattern,
-        plan,
-        true,
-        BATCH_ROWS,
-        &Arc::new(QueryGuard::unlimited()),
-        ParallelPolicy::with_threads(threads),
-    )
-}
-
-/// [`execute_parallel`] without result materialization — for
-/// measurement runs over folded corpora.
-pub fn execute_parallel_counting(
-    store: &XmlStore,
-    pattern: &Pattern,
-    plan: &PlanNode,
-    threads: usize,
-) -> Result<ParallelOutcome, EngineError> {
-    execute_parallel_opts(
-        store,
-        pattern,
-        plan,
-        false,
-        BATCH_ROWS,
-        &Arc::new(QueryGuard::unlimited()),
-        ParallelPolicy::with_threads(threads),
-    )
-}
-
-/// [`execute_parallel`] under an explicit shared [`QueryGuard`]: its
-/// memory/batch counters are the *aggregate* across all workers, and
-/// cancellation/deadline are observed at every batch boundary of
-/// every worker, so cancellation latency stays within one batch.
+/// [`execute_with`] in [`ExecMode::Parallel`] under an explicit
+/// shared [`QueryGuard`]: its memory/batch counters are the
+/// *aggregate* across all workers, and cancellation/deadline are
+/// observed at every batch boundary of every worker, so cancellation
+/// latency stays within one batch.
 pub fn execute_parallel_guarded(
     store: &XmlStore,
     pattern: &Pattern,
     plan: &PlanNode,
     guard: &Arc<QueryGuard>,
     policy: ParallelPolicy,
-) -> Result<ParallelOutcome, EngineError> {
-    execute_parallel_opts(store, pattern, plan, true, BATCH_ROWS, guard, policy)
+) -> Result<Execution, EngineError> {
+    let opts = ExecOptions {
+        mode: ExecMode::Parallel(policy),
+        guard: Arc::clone(guard),
+        ..ExecOptions::default()
+    };
+    execute_with(store, pattern, plan, &opts)
 }
 
-/// The full-knob parallel entry point (materialization, batch
-/// granularity, guard, policy) — the differential suites sweep
-/// `threads × batch_rows` through this.
-///
-/// Spill mode is deliberately absent: morsels already shrink each
-/// sort's input by the partition factor, and the degraded-admission
-/// path stays serial (the service runs spill queries with
-/// `parallelism = 1`).
+/// [`execute_with`] in [`ExecMode::Parallel`] with every knob spelled
+/// out (materialization, batch granularity, guard, policy).
 pub fn execute_parallel_opts(
     store: &XmlStore,
     pattern: &Pattern,
@@ -400,18 +339,37 @@ pub fn execute_parallel_opts(
     batch_rows: usize,
     guard: &Arc<QueryGuard>,
     policy: ParallelPolicy,
-) -> Result<ParallelOutcome, EngineError> {
-    plan.validate(pattern).map_err(EngineError::InvalidPlan)?;
+) -> Result<Execution, EngineError> {
+    let opts = ExecOptions {
+        mode: ExecMode::Parallel(policy),
+        guard: Arc::clone(guard),
+        batch_rows,
+        materialize,
+    };
+    execute_with(store, pattern, plan, &opts)
+}
+
+/// The parallel engine behind [`ExecMode::Parallel`], for an already
+/// validated plan. Falls back to the serial engine when `policy` has
+/// one thread or no valid cut exists.
+pub(crate) fn run(
+    store: &XmlStore,
+    pattern: &Pattern,
+    plan: &PlanNode,
+    opts: &ExecOptions,
+    policy: ParallelPolicy,
+) -> Result<Execution, EngineError> {
     if policy.threads <= 1 {
-        return serial_outcome(store, pattern, plan, materialize, batch_rows, guard);
+        return run_serial(store, pattern, plan, opts, None);
     }
     let io_before = store.stats().snapshot();
     let started = Instant::now();
+    let guard = &opts.guard;
     let partition = plan_partition(store, pattern, plan, policy.target_morsels(), Some(guard))?;
     if partition.morsel_count() == 1 {
         // No valid cut (wildcard, root-binding query, tiny corpus):
         // the serial engine *is* the one-morsel execution.
-        return serial_outcome(store, pattern, plan, materialize, batch_rows, guard);
+        return run_serial(store, pattern, plan, opts, None);
     }
     let ranges = partition.ranges();
     let morsels = ranges.len();
@@ -434,16 +392,7 @@ pub fn execute_parallel_opts(
                     if i >= morsels || abort.load(Ordering::Relaxed) {
                         break;
                     }
-                    match run_morsel(
-                        store,
-                        pattern,
-                        plan,
-                        materialize,
-                        batch_rows,
-                        guard,
-                        ranges[i],
-                        &abort,
-                    ) {
+                    match run_morsel(store, pattern, plan, opts, ranges[i], &abort) {
                         Ok(Some(out)) => {
                             *slots[i].lock().expect("morsel slot poisoned") = Some(out);
                         }
@@ -496,12 +445,7 @@ pub fn execute_parallel_opts(
         io: store.stats().snapshot().since(&io_before),
         elapsed,
     };
-    Ok(ParallelOutcome {
-        result,
-        cuts: partition.cuts,
-        morsel_snapshots: snapshots,
-        threads_used: workers,
-    })
+    Ok(Execution { result, cuts: partition.cuts, morsel_snapshots: snapshots })
 }
 
 struct MorselOut {
@@ -510,48 +454,33 @@ struct MorselOut {
 }
 
 /// Run one morsel's pipeline: the plan with every leaf scan
-/// restricted to `[lo, hi)`, its own [`ExecMetrics`], the shared
-/// guard. Returns `Ok(None)` when a sibling's failure aborted the
-/// pool mid-drain.
-#[allow(clippy::too_many_arguments)]
+/// restricted to `range`, its own [`ExecMetrics`], the shared guard.
+/// Returns `Ok(None)` when a sibling's failure aborted the pool
+/// mid-drain.
 fn run_morsel(
     store: &XmlStore,
     pattern: &Pattern,
     plan: &PlanNode,
-    materialize: bool,
-    batch_rows: usize,
-    guard: &Arc<QueryGuard>,
+    opts: &ExecOptions,
     range: (u32, u32),
     abort: &AtomicBool,
 ) -> Result<Option<MorselOut>, EngineError> {
     let metrics = ExecMetrics::new();
-    let mut root =
-        build_operator(store, pattern, plan, &metrics, batch_rows, guard, None, Some(range))?;
-    let Some(tuples) = drain(&mut root, &metrics, materialize, abort)? else {
+    let mut root = build_operator(
+        store,
+        pattern,
+        plan,
+        &metrics,
+        opts.batch_rows,
+        &opts.guard,
+        None,
+        Some(range),
+    )?;
+    let Some(tuples) = drain(&mut root, &metrics, opts.materialize, abort)? else {
         return Ok(None);
     };
     drop(root);
     Ok(Some(MorselOut { tuples, snapshot: metrics.snapshot() }))
-}
-
-/// One-morsel execution through the serial engine, wrapped as a
-/// [`ParallelOutcome`].
-fn serial_outcome(
-    store: &XmlStore,
-    pattern: &Pattern,
-    plan: &PlanNode,
-    materialize: bool,
-    batch_rows: usize,
-    guard: &Arc<QueryGuard>,
-) -> Result<ParallelOutcome, EngineError> {
-    let result = execute_opts(store, pattern, plan, materialize, batch_rows, guard, None)?;
-    let snapshot = result.metrics;
-    Ok(ParallelOutcome {
-        result,
-        cuts: Vec::new(),
-        morsel_snapshots: vec![snapshot],
-        threads_used: 1,
-    })
 }
 
 /// The output schema `plan` produces, derived structurally (scans are
@@ -599,6 +528,16 @@ mod tests {
             axis: Axis::Descendant,
             algo: JoinAlgo::StackTreeDesc,
         }
+    }
+
+    fn execute_parallel(
+        st: &XmlStore,
+        pat: &Pattern,
+        plan: &PlanNode,
+        threads: usize,
+    ) -> Result<Execution, EngineError> {
+        let mode = ExecMode::Parallel(ParallelPolicy::with_threads(threads));
+        execute_with(st, pat, plan, &ExecOptions { mode, ..ExecOptions::default() })
     }
 
     #[test]

@@ -12,13 +12,20 @@
 //! budgets *before* running anything yields a static admission
 //! decision (PL062/PL063) instead of a mid-flight `GuardBreach`.
 //!
-//! A second, *degraded* admission tier covers plans the in-memory
-//! bound rejects: [`analyze_bounds_spill`] re-derives the bounds with
-//! every sort capped at a [`SpillPolicy`]'s resident footprint (the
-//! rest of the input lives in temp pages), [`admit_spill`] compares
-//! that resident bound against the same budgets (PL066), and
-//! [`lint_spill_soundness`] replays spill-mode executions to certify
-//! the cap is a real upper bound (PL067).
+//! The analysis, the admission predicate and the replay all take the
+//! [`ExecOptions`] the plan will run under, and its [`ExecMode`] picks
+//! the variant:
+//!
+//! * `Serial` — the plain bounds, PL062 and PL064.
+//! * `Parallel` — the same per-pipeline bounds, certified at
+//!   `workers ×` by [`ResourceBounds::certificate`] (PL062, PL064).
+//! * `Spill` — the *degraded* tier for plans the in-memory bound
+//!   rejects: [`analyze_bounds`] caps every sort at the
+//!   [`SpillPolicy`]'s resident footprint (the rest of the input lives
+//!   in temp pages), [`admit`] compares that resident bound against
+//!   the same budgets (PL066), and [`lint_bound_soundness`] replays
+//!   spill-mode executions to certify the cap is a real upper bound
+//!   and no temp page leaks (PL067).
 //!
 //! ## The interval lattice
 //!
@@ -68,8 +75,8 @@ use std::sync::Arc;
 
 use sjos_core::CostModel;
 use sjos_exec::{
-    execute_guarded_with_batch_rows, execute_spill_with_batch_rows, EngineError, Entry, JoinAlgo,
-    PlanNode, QueryGuard, SpillPolicy, BATCH_ROWS,
+    execute_with, EngineError, Entry, ExecMode, ExecOptions, JoinAlgo, PlanNode, QueryGuard,
+    SpillPolicy,
 };
 use sjos_pattern::{Axis, Pattern, PnId};
 use sjos_stats::PatternEstimates;
@@ -151,7 +158,46 @@ pub struct ResourceBounds {
     pub batch_rows: usize,
 }
 
+/// What one run is certified for: its worst-case aggregate peak
+/// bytes and guarded batch pulls.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Certificate {
+    /// Worst-case peak live bytes across every worker.
+    pub peak_bytes: u64,
+    /// Worst-case guarded batch pulls across every worker.
+    pub batch_pulls: u64,
+}
+
 impl ResourceBounds {
+    /// The certificate of a run in `mode`, from the bounds of its
+    /// pipeline: the bounds themselves for a serial or spilling run
+    /// (for `Spill`, `self` must come from [`analyze_bounds`] under
+    /// the same policy), and `workers ×` them for a parallel one.
+    ///
+    /// The scaling is sound because each morsel is the same plan over
+    /// a *subset* of every binding list, and the per-operator bounds
+    /// are monotone in their input cardinalities — one morsel's
+    /// resident peak never exceeds the serial bound, and at most
+    /// `workers` morsels are resident at once. The batch bound scales
+    /// the same way: the aggregate pull count of a partitioned run can
+    /// exceed the serial worst case (each morsel rounds its final
+    /// partial batches up), but never `workers ×` it, since every
+    /// worker's own pull sequence is bounded by its morsel's (≤
+    /// serial) worst case. Conservative by design: a plan admitted
+    /// serially may be rejected at high parallelism, and the service
+    /// then falls back to the serial path rather than risking an
+    /// unsound admission.
+    pub fn certificate(&self, mode: &ExecMode) -> Certificate {
+        let workers = match mode {
+            ExecMode::Parallel(policy) => policy.threads.max(1) as u64,
+            ExecMode::Serial | ExecMode::Spill(_) => 1,
+        };
+        Certificate {
+            peak_bytes: self.peak_bytes.saturating_mul(workers),
+            batch_pulls: self.batch_pulls.saturating_mul(workers),
+        }
+    }
+
     /// The root operator's output-cardinality interval.
     pub fn root_rows(&self) -> CardInterval {
         self.operators.first().map_or(CardInterval { lo: 0, hi: 0 }, |o| o.rows)
@@ -200,46 +246,30 @@ struct SubBounds {
 
 const ENTRY: u64 = std::mem::size_of::<Entry>() as u64;
 
-/// Derive guaranteed resource bounds for `plan` at granularity
-/// `batch_rows` (use [`BATCH_ROWS`] for the production default).
+/// Derive guaranteed resource bounds for one pipeline of `plan` as
+/// `opts` runs it: at `opts.batch_rows` rows per batch, and — in
+/// [`ExecMode::Spill`] — with every sort's buffer term capped at the
+/// policy's *resident* bound (flush threshold plus one output batch
+/// plus the merge fan-in's decoded cursor buffers plus one run page),
+/// because an external sort parks everything past the threshold in
+/// temp pages instead of memory. Only sorts spill, so all other
+/// operators are unchanged and the spill-mode `peak_bytes` is the
+/// worst-case resident footprint a degraded admission decision
+/// (PL066) compares against the memory budget. A parallel run's
+/// pipelines share these bounds; [`ResourceBounds::certificate`]
+/// scales them to the whole run.
 pub fn analyze_bounds(
     pattern: &Pattern,
     estimates: &PatternEstimates,
     model: &CostModel,
     plan: &PlanNode,
-    batch_rows: usize,
+    opts: &ExecOptions,
 ) -> ResourceBounds {
-    analyze(pattern, estimates, model, plan, batch_rows, None)
-}
-
-/// [`analyze_bounds`] under a spill policy: every sort's buffer term
-/// is capped at the policy's *resident* bound — flush threshold plus
-/// one output batch plus the merge fan-in's decoded cursor buffers
-/// plus one run page — because an external sort parks everything past
-/// the threshold in temp pages instead of memory. All other operators
-/// are unchanged (only sorts spill), so the resulting `peak_bytes` is
-/// the worst-case resident footprint a degraded admission decision
-/// (PL066) compares against the memory budget.
-pub fn analyze_bounds_spill(
-    pattern: &Pattern,
-    estimates: &PatternEstimates,
-    model: &CostModel,
-    plan: &PlanNode,
-    batch_rows: usize,
-    policy: SpillPolicy,
-) -> ResourceBounds {
-    analyze(pattern, estimates, model, plan, batch_rows, Some(policy))
-}
-
-fn analyze(
-    pattern: &Pattern,
-    estimates: &PatternEstimates,
-    model: &CostModel,
-    plan: &PlanNode,
-    batch_rows: usize,
-    spill: Option<SpillPolicy>,
-) -> ResourceBounds {
-    let batch_rows = batch_rows.max(1);
+    let batch_rows = opts.batch_rows.max(1);
+    let spill = match opts.mode {
+        ExecMode::Spill(policy) => Some(policy),
+        ExecMode::Serial | ExecMode::Parallel(_) => None,
+    };
     let mut operators = Vec::new();
     walk(pattern, estimates, model, plan, "root", batch_rows as u64, spill, &mut operators);
     let peak_bytes = operators
@@ -446,9 +476,9 @@ pub fn lint_bounds(
     estimates: &PatternEstimates,
     model: &CostModel,
     plan: &PlanNode,
-    batch_rows: usize,
+    opts: &ExecOptions,
 ) -> (ResourceBounds, Report) {
-    let bounds = analyze_bounds(pattern, estimates, model, plan, batch_rows);
+    let bounds = analyze_bounds(pattern, estimates, model, plan, opts);
     let mut report = Report::default();
     for op in &bounds.operators {
         if op.rows.lo > op.rows.hi {
@@ -509,157 +539,73 @@ pub fn lint_bounds(
     (bounds, report)
 }
 
-/// PL062 + PL063: the admission predicate. Compares `bounds` against
-/// explicit budgets (bytes / batch pulls); `None` means unlimited. A
-/// clean report admits the plan.
-pub fn admit(
-    bounds: &ResourceBounds,
-    memory_budget: Option<u64>,
-    batch_budget: Option<u64>,
-) -> Report {
-    let mut report = Report::default();
-    if let Some(limit) = memory_budget {
-        if bounds.peak_bytes > limit {
-            report.push(
-                Rule::MemoryAdmissible,
-                "root",
-                format!(
-                    "worst-case peak {} B exceeds the {} B memory budget",
-                    bounds.peak_bytes, limit
-                ),
-            );
-        }
-    }
-    if let Some(limit) = batch_budget {
-        if bounds.batch_pulls > limit {
-            report.push(
-                Rule::BatchAdmissible,
-                "root",
-                format!(
-                    "worst-case {} batch pulls exceed the {} pull budget",
-                    bounds.batch_pulls, limit
-                ),
-            );
-        }
-    }
-    report
-}
-
-/// [`admit`] against the budgets carried by a [`QueryGuard`] — the
-/// pre-execution check a server runs before handing the guard to the
-/// executor.
-pub fn admit_guard(bounds: &ResourceBounds, guard: &QueryGuard) -> Report {
-    let budget = guard.memory_budget().map(|b| b as u64);
-    admit(bounds, budget, guard.batch_budget())
-}
-
-/// PL066 (+ PL063): the *degraded*-admission predicate. `bounds` must
-/// come from [`analyze_bounds_spill`] — its `peak_bytes` is then the
-/// worst-case **resident** footprint with every sort spilling, and a
-/// clean report admits the plan in spill mode even when [`admit`]
-/// rejected its in-memory bound. A violation here means not even
-/// spilling saves the plan (the guard budget is below the merge
-/// machinery's floor or a non-sort operator alone exceeds it).
-pub fn admit_spill(
-    bounds: &ResourceBounds,
-    memory_budget: Option<u64>,
-    batch_budget: Option<u64>,
-) -> Report {
-    let mut report = Report::default();
-    if let Some(limit) = memory_budget {
-        if bounds.peak_bytes > limit {
-            report.push(
-                Rule::SpillAdmissible,
-                "root",
-                format!(
-                    "worst-case resident peak {} B under spill still exceeds the {} B memory \
-                     budget",
-                    bounds.peak_bytes, limit
-                ),
-            );
-        }
-    }
-    if let Some(limit) = batch_budget {
-        if bounds.batch_pulls > limit {
-            report.push(
-                Rule::BatchAdmissible,
-                "root",
-                format!(
-                    "worst-case {} batch pulls exceed the {} pull budget",
-                    bounds.batch_pulls, limit
-                ),
-            );
-        }
-    }
-    report
-}
-
-/// [`admit_spill`] against the budgets carried by a [`QueryGuard`] —
-/// what a server consults after [`admit_guard`] rejects a plan, before
-/// refusing the query outright.
-pub fn admit_spill_guard(bounds: &ResourceBounds, guard: &QueryGuard) -> Report {
-    admit_spill(bounds, guard.memory_budget().map(|b| b as u64), guard.batch_budget())
-}
-
-/// PL062 + PL063 for a `workers`-way morsel-partitioned parallel run:
-/// admit only if `workers ×` the serial worst case fits the budgets.
+/// PL062/PL066 + PL063: the admission predicate for a run as `opts`
+/// describes it. Compares the mode's [`ResourceBounds::certificate`]
+/// against the memory and batch budgets of `opts.guard` (an unset
+/// budget always passes); a clean report admits the plan, and running
+/// it under that guard is then breach-free by construction.
 ///
-/// Sound because each morsel is the same plan over a *subset* of every
-/// binding list, and the per-operator bounds are monotone in their
-/// input cardinalities — one morsel's resident peak never exceeds the
-/// serial bound, and at most `workers` morsels are resident at once.
-/// The batch bound scales the same way: the aggregate pull count of a
-/// partitioned run can exceed the serial worst case (each morsel
-/// rounds its final partial batches up), but never `workers ×` it,
-/// since every worker's own pull sequence is bounded by its morsel's
-/// (≤ serial) worst case. Conservative by design: a plan admitted
-/// serially may be rejected at high parallelism; the service then
-/// falls back to fewer workers or the serial path rather than risking
-/// an unsound admission.
-pub fn admit_parallel(
-    bounds: &ResourceBounds,
-    workers: usize,
-    memory_budget: Option<u64>,
-    batch_budget: Option<u64>,
-) -> Report {
-    let workers = workers.max(1) as u64;
+/// In [`ExecMode::Spill`] this is the *degraded*-admission predicate
+/// (PL066): `bounds` must come from [`analyze_bounds`] under the same
+/// options, its peak is the worst-case **resident** footprint with
+/// every sort spilling, and a clean report admits the plan in spill
+/// mode even when the in-memory bound was rejected. A violation there
+/// means not even spilling saves the plan (the budget is below the
+/// merge machinery's floor or a non-sort operator alone exceeds it).
+pub fn admit(bounds: &ResourceBounds, opts: &ExecOptions) -> Report {
+    let cert = bounds.certificate(&opts.mode);
     let mut report = Report::default();
-    let peak = bounds.peak_bytes.saturating_mul(workers);
-    if let Some(limit) = memory_budget {
-        if peak > limit {
-            report.push(
-                Rule::MemoryAdmissible,
-                "root",
-                format!(
-                    "worst-case aggregate peak {peak} B across {workers} workers exceeds the \
-                     {limit} B memory budget (serial peak {} B)",
-                    bounds.peak_bytes
+    if let Some(limit) = opts.guard.memory_budget().map(|b| b as u64) {
+        if cert.peak_bytes > limit {
+            let (rule, message) = match opts.mode {
+                ExecMode::Serial => (
+                    Rule::MemoryAdmissible,
+                    format!(
+                        "worst-case peak {} B exceeds the {limit} B memory budget",
+                        cert.peak_bytes
+                    ),
                 ),
-            );
+                ExecMode::Parallel(policy) => (
+                    Rule::MemoryAdmissible,
+                    format!(
+                        "worst-case aggregate peak {} B across {} workers exceeds the \
+                         {limit} B memory budget (serial peak {} B)",
+                        cert.peak_bytes,
+                        policy.threads.max(1),
+                        bounds.peak_bytes
+                    ),
+                ),
+                ExecMode::Spill(_) => (
+                    Rule::SpillAdmissible,
+                    format!(
+                        "worst-case resident peak {} B under spill still exceeds the {limit} B \
+                         memory budget",
+                        cert.peak_bytes
+                    ),
+                ),
+            };
+            report.push(rule, "root", message);
         }
     }
-    let pulls = bounds.batch_pulls.saturating_mul(workers);
-    if let Some(limit) = batch_budget {
-        if pulls > limit {
-            report.push(
-                Rule::BatchAdmissible,
-                "root",
-                format!(
-                    "worst-case aggregate {pulls} batch pulls across {workers} workers exceed \
-                     the {limit} pull budget (serial bound {})",
+    if let Some(limit) = opts.guard.batch_budget() {
+        if cert.batch_pulls > limit {
+            let message = match opts.mode {
+                ExecMode::Parallel(policy) => format!(
+                    "worst-case aggregate {} batch pulls across {} workers exceed the {limit} \
+                     pull budget (serial bound {})",
+                    cert.batch_pulls,
+                    policy.threads.max(1),
                     bounds.batch_pulls
                 ),
-            );
+                ExecMode::Serial | ExecMode::Spill(_) => format!(
+                    "worst-case {} batch pulls exceed the {limit} pull budget",
+                    cert.batch_pulls
+                ),
+            };
+            report.push(Rule::BatchAdmissible, "root", message);
         }
     }
     report
-}
-
-/// [`admit_parallel`] against the budgets carried by a [`QueryGuard`]
-/// (which the parallel executor shares across all workers, so its
-/// counters accumulate the aggregate the scaled bounds cap).
-pub fn admit_parallel_guard(bounds: &ResourceBounds, workers: usize, guard: &QueryGuard) -> Report {
-    admit_parallel(bounds, workers, guard.memory_budget().map(|b| b as u64), guard.batch_budget())
 }
 
 /// PL065: the cache-revalidation predicate. A plan cached under
@@ -697,10 +643,17 @@ pub fn revalidate_cached(
     report
 }
 
-/// PL064 (dynamic, in the style of PL034): execute `plan` against
-/// `store` at the bounds' batch granularity and check that the
-/// observed peak buffering, batch pulls, and output cardinality all
-/// stay inside the static bounds.
+/// PL064 / PL067 (dynamic, in the style of PL034): execute `plan`
+/// against `store` as `opts` describes it — mode and batch
+/// granularity, under a fresh unlimited guard so the run is observed,
+/// not stopped — and check that the observed peak buffering, batch
+/// pulls, and output cardinality all stay inside the mode's
+/// [`ResourceBounds::certificate`]. In [`ExecMode::Spill`] the rule is
+/// PL067: the peak is the *resident* one, and the run must also
+/// release every temp page it borrowed.
+///
+/// `bounds` must come from [`analyze_bounds`] with the same options,
+/// or the comparison is meaningless.
 ///
 /// # Errors
 /// Propagates execution failures ([`EngineError`]) — a failed run
@@ -710,95 +663,51 @@ pub fn lint_bound_soundness(
     pattern: &Pattern,
     bounds: &ResourceBounds,
     plan: &PlanNode,
+    opts: &ExecOptions,
 ) -> Result<Report, EngineError> {
     let guard = Arc::new(QueryGuard::unlimited());
-    let result = execute_guarded_with_batch_rows(store, pattern, plan, bounds.batch_rows, &guard)?;
-    let mut report = Report::default();
-    if result.metrics.peak_bytes > bounds.peak_bytes {
-        report.push(
-            Rule::BoundSound,
-            "root",
-            format!(
-                "observed peak {} B exceeds the static bound {} B",
-                result.metrics.peak_bytes, bounds.peak_bytes
-            ),
-        );
-    }
-    let pulled = guard.batches_pulled();
-    if pulled > bounds.batch_pulls {
-        report.push(
-            Rule::BoundSound,
-            "root",
-            format!("observed {pulled} batch pulls exceed the static bound {}", bounds.batch_pulls),
-        );
-    }
-    let root = bounds.root_rows();
-    let rows = result.metrics.output_tuples;
-    if rows < root.lo || rows > root.hi {
-        report.push(
-            Rule::BoundSound,
-            "root",
-            format!("{rows} output rows fall outside the root interval [{}, {}]", root.lo, root.hi),
-        );
-    }
-    Ok(report)
-}
-
-/// PL067 (dynamic, the spill twin of PL064): execute `plan` in spill
-/// mode under `policy` at the bounds' batch granularity and check
-/// that the observed *resident* peak, batch pulls, and output
-/// cardinality all stay inside the spill-capped static bounds — and
-/// that the run released every temp page it borrowed.
-///
-/// `bounds` must come from [`analyze_bounds_spill`] with the same
-/// `policy` and batch granularity, or the comparison is meaningless.
-///
-/// # Errors
-/// Propagates execution failures ([`EngineError`]) — a failed run
-/// proves nothing about the bounds.
-pub fn lint_spill_soundness(
-    store: &XmlStore,
-    pattern: &Pattern,
-    bounds: &ResourceBounds,
-    plan: &PlanNode,
-    policy: SpillPolicy,
-) -> Result<Report, EngineError> {
-    let guard = Arc::new(QueryGuard::unlimited());
+    let replay = ExecOptions { guard: Arc::clone(&guard), ..opts.clone() };
+    let spill = matches!(opts.mode, ExecMode::Spill(_));
+    let (rule, peak, bound) = if spill {
+        (Rule::SpillBoundSound, "resident peak", "spill-capped static bound")
+    } else {
+        (Rule::BoundSound, "peak", "static bound")
+    };
+    let cert = bounds.certificate(&opts.mode);
     let before = store.spill().live_pages();
-    let result =
-        execute_spill_with_batch_rows(store, pattern, plan, bounds.batch_rows, &guard, policy)?;
+    let result = execute_with(store, pattern, plan, &replay)?.result;
     let mut report = Report::default();
-    if result.metrics.peak_bytes > bounds.peak_bytes {
+    if result.metrics.peak_bytes > cert.peak_bytes {
         report.push(
-            Rule::SpillBoundSound,
+            rule,
             "root",
             format!(
-                "observed resident peak {} B exceeds the spill-capped static bound {} B",
-                result.metrics.peak_bytes, bounds.peak_bytes
+                "observed {peak} {} B exceeds the {bound} {} B",
+                result.metrics.peak_bytes, cert.peak_bytes
             ),
         );
     }
     let pulled = guard.batches_pulled();
-    if pulled > bounds.batch_pulls {
+    if pulled > cert.batch_pulls {
         report.push(
-            Rule::SpillBoundSound,
+            rule,
             "root",
-            format!("observed {pulled} batch pulls exceed the static bound {}", bounds.batch_pulls),
+            format!("observed {pulled} batch pulls exceed the static bound {}", cert.batch_pulls),
         );
     }
     let root = bounds.root_rows();
     let rows = result.metrics.output_tuples;
     if rows < root.lo || rows > root.hi {
         report.push(
-            Rule::SpillBoundSound,
+            rule,
             "root",
             format!("{rows} output rows fall outside the root interval [{}, {}]", root.lo, root.hi),
         );
     }
     let after = store.spill().live_pages();
-    if after > before {
+    if spill && after > before {
         report.push(
-            Rule::SpillBoundSound,
+            rule,
             "root",
             format!(
                 "run leaked {} temp pages ({before} live before, {after} after)",
@@ -821,8 +730,9 @@ pub fn lint_resources(
     model: &CostModel,
     plan: &PlanNode,
 ) -> Result<(ResourceBounds, Report), EngineError> {
-    let (bounds, mut report) = lint_bounds(pattern, estimates, model, plan, BATCH_ROWS);
-    let dynamic = lint_bound_soundness(store, pattern, &bounds, plan)?;
+    let opts = ExecOptions::default();
+    let (bounds, mut report) = lint_bounds(pattern, estimates, model, plan, &opts);
+    let dynamic = lint_bound_soundness(store, pattern, &bounds, plan, &opts)?;
     report.absorb("replay", dynamic);
     Ok((bounds, report))
 }
@@ -830,6 +740,7 @@ pub fn lint_resources(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sjos_exec::{ParallelPolicy, BATCH_ROWS};
     use sjos_pattern::parse_pattern;
     use sjos_stats::Catalog;
     use sjos_xml::Document;
@@ -840,6 +751,27 @@ mod tests {
         let catalog = Catalog::build(&doc);
         let estimates = PatternEstimates::new(&catalog, &doc, &pattern);
         (XmlStore::load(doc), pattern, estimates, CostModel::default())
+    }
+
+    /// Options for `mode` at `batch_rows`, with the given budgets.
+    fn opts(
+        mode: ExecMode,
+        batch_rows: usize,
+        memory: Option<u64>,
+        pulls: Option<u64>,
+    ) -> ExecOptions {
+        let mut guard = QueryGuard::unlimited();
+        if let Some(m) = memory {
+            guard = guard.with_memory_budget(usize::try_from(m).expect("test budget fits usize"));
+        }
+        if let Some(p) = pulls {
+            guard = guard.with_batch_budget(p);
+        }
+        ExecOptions { mode, guard: Arc::new(guard), batch_rows, ..ExecOptions::default() }
+    }
+
+    fn serial(batch_rows: usize) -> ExecOptions {
+        opts(ExecMode::Serial, batch_rows, None, None)
     }
 
     fn scan(i: u16) -> PlanNode {
@@ -885,7 +817,7 @@ mod tests {
     #[test]
     fn scan_bounds_are_exact() {
         let (_, pattern, est, model) = setup(XML, "//dept//emp");
-        let b = analyze_bounds(&pattern, &est, &model, &scan(0), BATCH_ROWS);
+        let b = analyze_bounds(&pattern, &est, &model, &scan(0), &serial(BATCH_ROWS));
         assert_eq!(b.root_rows(), CardInterval { lo: 2, hi: 2 });
         assert_eq!(b.operators[0].buffer_bytes, 0, "scans buffer nothing");
         assert!(b.batch_pulls >= 2);
@@ -895,7 +827,7 @@ mod tests {
     fn depth_levels_tighten_the_join_bound() {
         let (_, pattern, est, model) = setup(XML, "//dept//emp");
         let plan = join(scan(0), scan(1), 0, 1, Axis::Descendant, JoinAlgo::StackTreeDesc);
-        let b = analyze_bounds(&pattern, &est, &model, &plan, BATCH_ROWS);
+        let b = analyze_bounds(&pattern, &est, &model, &plan, &serial(BATCH_ROWS));
         // dept occurs at one level, so each emp has ≤ 1 dept ancestor:
         // the bound is |emp| · 1 = 3, not |dept| · |emp| = 6.
         assert_eq!(b.root_rows().hi, 3);
@@ -913,7 +845,7 @@ mod tests {
             Axis::Child,
             JoinAlgo::StackTreeDesc,
         );
-        let (bounds, report) = lint_bounds(&pattern, &est, &model, &plan, BATCH_ROWS);
+        let (bounds, report) = lint_bounds(&pattern, &est, &model, &plan, &serial(BATCH_ROWS));
         assert!(report.is_clean(), "{report}");
         assert_eq!(bounds.operators.len(), 5, "pre-order covers every operator");
         assert_eq!(bounds.operators[0].location, "root");
@@ -924,7 +856,7 @@ mod tests {
     fn corrupted_bounds_fire_pl060() {
         let (_, pattern, est, model) = setup(XML, "//dept//emp");
         let plan = join(scan(0), scan(1), 0, 1, Axis::Descendant, JoinAlgo::StackTreeDesc);
-        let (mut bounds, _) = lint_bounds(&pattern, &est, &model, &plan, BATCH_ROWS);
+        let (mut bounds, _) = lint_bounds(&pattern, &est, &model, &plan, &serial(BATCH_ROWS));
         // Invert an interval and re-run just the lattice checks via a
         // hand-rolled report (lint_bounds recomputes, so check the
         // helper predicate directly).
@@ -938,7 +870,7 @@ mod tests {
         let (_, pattern, est, model) = setup(XML, "//dept//emp");
         let inner = join(scan(0), scan(1), 0, 1, Axis::Descendant, JoinAlgo::StackTreeAnc);
         let plan = PlanNode::Sort { input: Box::new(inner), by: PnId(1) };
-        let b = analyze_bounds(&pattern, &est, &model, &plan, BATCH_ROWS);
+        let b = analyze_bounds(&pattern, &est, &model, &plan, &serial(BATCH_ROWS));
         let sort = &b.operators[0];
         assert_eq!(sort.buffer_bytes, 3 * 2 * ENTRY, "3 rows × 2 cols");
     }
@@ -947,46 +879,41 @@ mod tests {
     fn admission_rejects_below_and_admits_above() {
         let (_, pattern, est, model) = setup(XML, "//dept//emp");
         let plan = join(scan(0), scan(1), 0, 1, Axis::Descendant, JoinAlgo::StackTreeAnc);
-        let b = analyze_bounds(&pattern, &est, &model, &plan, BATCH_ROWS);
+        let b = analyze_bounds(&pattern, &est, &model, &plan, &serial(BATCH_ROWS));
         assert!(b.peak_bytes > 0);
-        let reject = admit(&b, Some(b.peak_bytes - 1), None);
+        let budget = |m, p| opts(ExecMode::Serial, BATCH_ROWS, m, p);
+        let reject = admit(&b, &budget(Some(b.peak_bytes - 1), None));
         assert!(reject.violates(Rule::MemoryAdmissible));
-        let accept = admit(&b, Some(b.peak_bytes), Some(b.batch_pulls));
+        let accept = admit(&b, &budget(Some(b.peak_bytes), Some(b.batch_pulls)));
         assert!(accept.is_clean(), "{accept}");
-        let reject_pulls = admit(&b, None, Some(b.batch_pulls - 1));
+        let reject_pulls = admit(&b, &budget(None, Some(b.batch_pulls - 1)));
         assert!(reject_pulls.violates(Rule::BatchAdmissible));
+        assert!(admit(&b, &serial(BATCH_ROWS)).is_clean(), "no budget admits everything");
     }
 
     #[test]
-    fn admit_guard_reads_the_guard_budgets() {
+    fn parallel_certificate_scales_the_bounds_by_worker_count() {
         let (_, pattern, est, model) = setup(XML, "//dept//emp");
         let plan = join(scan(0), scan(1), 0, 1, Axis::Descendant, JoinAlgo::StackTreeDesc);
-        let b = analyze_bounds(&pattern, &est, &model, &plan, BATCH_ROWS);
-        let tight = QueryGuard::unlimited().with_memory_budget(1);
-        assert!(admit_guard(&b, &tight).violates(Rule::MemoryAdmissible));
-        let unlimited = QueryGuard::unlimited();
-        assert!(admit_guard(&b, &unlimited).is_clean());
-    }
-
-    #[test]
-    fn admit_parallel_scales_the_bounds_by_worker_count() {
-        let (_, pattern, est, model) = setup(XML, "//dept//emp");
-        let plan = join(scan(0), scan(1), 0, 1, Axis::Descendant, JoinAlgo::StackTreeDesc);
-        let b = analyze_bounds(&pattern, &est, &model, &plan, BATCH_ROWS);
+        let b = analyze_bounds(&pattern, &est, &model, &plan, &serial(BATCH_ROWS));
+        let parallel = |threads| ExecMode::Parallel(ParallelPolicy::with_threads(threads));
+        let four = b.certificate(&parallel(4));
+        assert_eq!(
+            four,
+            Certificate { peak_bytes: 4 * b.peak_bytes, batch_pulls: 4 * b.batch_pulls }
+        );
+        assert_eq!(b.certificate(&parallel(1)), b.certificate(&ExecMode::Serial));
         // A budget that fits the serial bound but not 4 workers' worth.
         let budget = b.peak_bytes * 2;
-        assert!(admit(&b, Some(budget), None).is_clean());
-        assert!(admit_parallel(&b, 1, Some(budget), None).is_clean());
-        assert!(admit_parallel(&b, 4, Some(budget), None).violates(Rule::MemoryAdmissible));
+        let memory = |mode| opts(mode, BATCH_ROWS, Some(budget), None);
+        assert!(admit(&b, &memory(ExecMode::Serial)).is_clean());
+        assert!(admit(&b, &memory(parallel(1))).is_clean());
+        assert!(admit(&b, &memory(parallel(4))).violates(Rule::MemoryAdmissible));
         // Batch budget scales the same way.
-        let pulls = b.batch_pulls * 2;
-        assert!(admit_parallel(&b, 2, None, Some(pulls)).is_clean());
-        assert!(admit_parallel(&b, 4, None, Some(pulls)).violates(Rule::BatchAdmissible));
-        // Guard variant reads the guard's budgets.
-        let guard = QueryGuard::unlimited()
-            .with_memory_budget(usize::try_from(budget).expect("test budget fits usize"));
-        assert!(admit_parallel_guard(&b, 4, &guard).violates(Rule::MemoryAdmissible));
-        assert!(admit_parallel_guard(&b, 4, &QueryGuard::unlimited()).is_clean());
+        let pulls = |mode| opts(mode, BATCH_ROWS, None, Some(b.batch_pulls * 2));
+        assert!(admit(&b, &pulls(parallel(2))).is_clean());
+        assert!(admit(&b, &pulls(parallel(4))).violates(Rule::BatchAdmissible));
+        assert!(admit(&b, &opts(parallel(4), BATCH_ROWS, None, None)).is_clean());
     }
 
     #[test]
@@ -997,11 +924,28 @@ mod tests {
             let left = PlanNode::Sort { input: Box::new(inner), by: PnId(1) };
             let plan = join(left, scan(2), 1, 2, Axis::Child, JoinAlgo::StackTreeDesc);
             for rows in [1usize, 3, BATCH_ROWS] {
-                let b = analyze_bounds(&pattern, &est, &model, &plan, rows);
-                let report = lint_bound_soundness(&store, &pattern, &b, &plan).unwrap();
+                let b = analyze_bounds(&pattern, &est, &model, &plan, &serial(rows));
+                let report =
+                    lint_bound_soundness(&store, &pattern, &b, &plan, &serial(rows)).unwrap();
                 assert!(report.is_clean(), "{algo:?} at batch_rows={rows}: {report}");
             }
         }
+    }
+
+    #[test]
+    fn parallel_replay_stays_inside_the_scaled_certificate() {
+        let mut xml = String::from("<db>");
+        for i in 0..64 {
+            xml.push_str(&format!("<dept><emp><name>n{i}</name></emp><emp/></dept>"));
+        }
+        xml.push_str("</db>");
+        let (store, pattern, est, model) = setup(&xml, "//dept//emp");
+        let plan = join(scan(0), scan(1), 0, 1, Axis::Descendant, JoinAlgo::StackTreeAnc);
+        let opts = opts(ExecMode::Parallel(ParallelPolicy::with_threads(4)), 3, None, None);
+        assert!(execute_with(&store, &pattern, &plan, &opts).unwrap().morsel_count() > 1);
+        let b = analyze_bounds(&pattern, &est, &model, &plan, &opts);
+        let report = lint_bound_soundness(&store, &pattern, &b, &plan, &opts).unwrap();
+        assert!(report.is_clean(), "{report}");
     }
 
     /// A corpus wide enough that a sort's full-materialization bound
@@ -1015,6 +959,10 @@ mod tests {
         xml
     }
 
+    fn spill(policy: SpillPolicy, batch_rows: usize, memory: Option<u64>) -> ExecOptions {
+        opts(ExecMode::Spill(policy), batch_rows, memory, None)
+    }
+
     fn wide_sort_plan() -> PlanNode {
         let inner = join(scan(0), scan(1), 0, 1, Axis::Descendant, JoinAlgo::StackTreeDesc);
         PlanNode::Sort { input: Box::new(inner), by: PnId(0) }
@@ -1025,8 +973,8 @@ mod tests {
         let (_, pattern, est, model) = setup(&wide_xml(3_000), "//dept//emp");
         let plan = wide_sort_plan();
         let policy = SpillPolicy::with_threshold(0);
-        let full = analyze_bounds(&pattern, &est, &model, &plan, 3);
-        let spilled = analyze_bounds_spill(&pattern, &est, &model, &plan, 3, policy);
+        let full = analyze_bounds(&pattern, &est, &model, &plan, &serial(3));
+        let spilled = analyze_bounds(&pattern, &est, &model, &plan, &spill(policy, 3, None));
         let resident = policy.resident_bound(2, 3) as u64;
         assert!(
             full.operators[0].buffer_bytes > resident,
@@ -1042,22 +990,21 @@ mod tests {
         let (_, pattern, est, model) = setup(&wide_xml(3_000), "//dept//emp");
         let plan = wide_sort_plan();
         let policy = SpillPolicy::with_threshold(0);
-        let full = analyze_bounds(&pattern, &est, &model, &plan, 3);
-        let spilled = analyze_bounds_spill(&pattern, &est, &model, &plan, 3, policy);
+        let full = analyze_bounds(&pattern, &est, &model, &plan, &serial(3));
+        let spilled = analyze_bounds(&pattern, &est, &model, &plan, &spill(policy, 3, None));
         // A budget between the two bounds: in-memory admission rejects,
         // degraded admission accepts the same plan.
         let budget = spilled.peak_bytes;
         assert!(budget < full.peak_bytes);
-        assert!(admit(&full, Some(budget), None).violates(Rule::MemoryAdmissible));
-        let degraded = admit_spill(&spilled, Some(budget), None);
+        let in_memory = opts(ExecMode::Serial, 3, Some(budget), None);
+        assert!(admit(&full, &in_memory).violates(Rule::MemoryAdmissible));
+        let degraded = admit(&spilled, &spill(policy, 3, Some(budget)));
         assert!(degraded.is_clean(), "{degraded}");
         // Below even the resident floor, spilling cannot save the plan.
-        let hopeless = admit_spill(&spilled, Some(spilled.peak_bytes - 1), None);
+        let hopeless = admit(&spilled, &spill(policy, 3, Some(spilled.peak_bytes - 1)));
         assert!(hopeless.violates(Rule::SpillAdmissible));
-        let tight = QueryGuard::unlimited().with_memory_budget(1);
-        assert!(admit_spill_guard(&spilled, &tight).violates(Rule::SpillAdmissible));
-        let unlimited = QueryGuard::unlimited();
-        assert!(admit_spill_guard(&spilled, &unlimited).is_clean());
+        assert!(!hopeless.violates(Rule::MemoryAdmissible), "spill mode reports PL066 only");
+        assert!(admit(&spilled, &spill(policy, 3, None)).is_clean());
     }
 
     #[test]
@@ -1066,8 +1013,9 @@ mod tests {
         let plan = wide_sort_plan();
         let policy = SpillPolicy::with_threshold(4096);
         for rows in [3usize, BATCH_ROWS] {
-            let b = analyze_bounds_spill(&pattern, &est, &model, &plan, rows, policy);
-            let report = lint_spill_soundness(&store, &pattern, &b, &plan, policy).unwrap();
+            let opts = spill(policy, rows, None);
+            let b = analyze_bounds(&pattern, &est, &model, &plan, &opts);
+            let report = lint_bound_soundness(&store, &pattern, &b, &plan, &opts).unwrap();
             assert!(report.is_clean(), "batch_rows={rows}: {report}");
             assert_eq!(store.spill().live_pages(), 0, "replay leaked temp pages");
         }
@@ -1076,7 +1024,7 @@ mod tests {
     #[test]
     fn value_predicates_zero_the_lower_bound() {
         let (_, pattern, est, model) = setup(XML, "//emp/name[text()='ada']");
-        let b = analyze_bounds(&pattern, &est, &model, &scan(1), BATCH_ROWS);
+        let b = analyze_bounds(&pattern, &est, &model, &scan(1), &serial(BATCH_ROWS));
         assert_eq!(b.root_rows().lo, 0, "a predicate may filter everything");
         assert_eq!(b.root_rows().hi, 3, "…but never adds rows");
     }

@@ -23,7 +23,10 @@
 //! cut, and demands the concatenated morsel outputs and the summed
 //! per-morsel work counters match the serial run bit for bit.
 
-use sjos_exec::{execute, execute_batches, execute_parallel, BatchedResult, EngineError, PlanNode};
+use sjos_exec::{
+    execute, execute_with, BatchedResult, EngineError, ExecMode, ExecOptions, ParallelPolicy,
+    PlanNode,
+};
 use sjos_pattern::Pattern;
 use sjos_storage::{FaultPlan, RetryPolicy, StoreConfig, XmlStore};
 
@@ -34,8 +37,8 @@ use crate::diag::{Report, Rule};
 /// reported under PL034 too — an unexecutable plan cannot honor the
 /// batch contract.
 pub fn lint_execution(store: &XmlStore, pattern: &Pattern, plan: &PlanNode) -> Report {
-    match execute_batches(store, pattern, plan) {
-        Ok(result) => lint_batches(&result, plan),
+    match execute(store, pattern, plan) {
+        Ok(result) => lint_batches(&BatchedResult::from(result), plan),
         Err(e) => {
             let mut report = Report::default();
             report.push(Rule::BatchContract, "root", format!("plan failed validation: {e}"));
@@ -121,17 +124,19 @@ pub fn lint_partition(
             return report;
         }
     };
-    let par = match execute_parallel(store, pattern, plan, threads) {
-        Ok(p) => p,
-        Err(e) => {
-            report.push(
-                Rule::PartitionSound,
-                "root",
-                format!("parallel run failed where the serial run succeeded: {e}"),
-            );
-            return report;
-        }
-    };
+    let mode = ExecMode::Parallel(ParallelPolicy::with_threads(threads));
+    let par =
+        match execute_with(store, pattern, plan, &ExecOptions { mode, ..ExecOptions::default() }) {
+            Ok(p) => p,
+            Err(e) => {
+                report.push(
+                    Rule::PartitionSound,
+                    "root",
+                    format!("parallel run failed where the serial run succeeded: {e}"),
+                );
+                return report;
+            }
+        };
 
     if !par.cuts.windows(2).all(|w| w[0] < w[1]) {
         report.push(
@@ -437,12 +442,12 @@ mod tests {
     #[test]
     fn corrupted_stream_fires_each_check() {
         let (store, pattern, plan) = setup("//a/b/c");
-        let clean = execute_batches(&store, &pattern, &plan).unwrap();
+        let clean = BatchedResult::from(execute(&store, &pattern, &plan).unwrap());
         assert!(lint_batches(&clean, &plan).is_clean());
         assert!(!clean.batches.is_empty(), "fixture query must match");
 
         // Unsorted within a batch: reverse the rows of the first batch.
-        let mut unsorted = execute_batches(&store, &pattern, &plan).unwrap();
+        let mut unsorted = BatchedResult::from(execute(&store, &pattern, &plan).unwrap());
         let rows: Vec<_> = {
             let b = &unsorted.batches[0];
             (0..b.len()).rev().map(|r| b.row(r)).collect()
@@ -455,7 +460,7 @@ mod tests {
         assert!(report.violates(Rule::BatchContract), "{}", report.render());
 
         // Row counts out of step with output_tuples.
-        let mut short = execute_batches(&store, &pattern, &plan).unwrap();
+        let mut short = BatchedResult::from(execute(&store, &pattern, &plan).unwrap());
         short.batches.pop();
         let report = lint_batches(&short, &plan);
         assert!(
@@ -465,7 +470,7 @@ mod tests {
         );
 
         // Ordering regressing across batches: duplicate the stream.
-        let mut doubled = execute_batches(&store, &pattern, &plan).unwrap();
+        let mut doubled = BatchedResult::from(execute(&store, &pattern, &plan).unwrap());
         let copy = doubled.batches.clone();
         doubled.batches.extend(copy);
         let report = lint_batches(&doubled, &plan);

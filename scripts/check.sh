@@ -22,6 +22,9 @@ cargo test --quiet --test chaos -- --test-threads=1
 echo "==> cargo bench --no-run (criterion harnesses compile)"
 cargo bench --workspace --no-run --quiet
 
+# Smoke runs must leave the committed bench trajectories untouched.
+bench_sums="$(sha256sum BENCH_*.json)"
+
 echo "==> server bench smoke (shared-engine service: cache hits, zero bound violations)"
 cargo run --quiet -p sjos-bench --bin server -- --smoke
 
@@ -30,6 +33,12 @@ cargo run --quiet -p sjos-bench --bin spill -- --smoke
 
 echo "==> parallel bench smoke (morsel partitioning happens, answers bit-identical to serial)"
 cargo run --quiet -p sjos-bench --bin parallel -- --smoke
+
+echo "==> smoke benches left BENCH_*.json byte-identical"
+if ! diff <(echo "$bench_sums") <(sha256sum BENCH_*.json); then
+  echo "a smoke bench rewrote a committed BENCH_*.json" >&2
+  exit 1
+fi
 
 echo "==> planlint selftest"
 cargo run --quiet --bin planlint -- --query '//a/b/c' --selftest >/dev/null

@@ -31,11 +31,13 @@
 //! Exit status: 0 when clean, 1 when any rule fired, 2 on usage
 //! errors.
 
+use std::sync::Arc;
+
 use sjos::core::{mutate_plan, Algorithm, PlanMutation};
 use sjos::datagen::{dblp::dblp, mbench::mbench, pers::pers, GenConfig};
 use sjos::explain::explain;
 use sjos::service::models::{healthy_models, mutated_models};
-use sjos::{Database, Document};
+use sjos::{Database, Document, ExecOptions, QueryGuard, BATCH_ROWS};
 use sjos_planck::{
     admit, analyze_plan, apply_static_mutation, certify_trace, collect_sources, corrupt_trace,
     explore, lint_bound_soundness, lint_bounds, lint_dataflow, lint_error_surfacing,
@@ -573,10 +575,11 @@ fn run_admit(opts: &Options, db: &Database, pattern: &sjos::Pattern) -> Result<b
     let plan = optimized.plan;
     let memory_budget = opts.memory_budget.unwrap_or(DEFAULT_MEMORY_BUDGET);
 
-    let (bounds, mut report) = lint_bounds(pattern, &estimates, &model, &plan, opts.batch_rows);
-    report.absorb("admit", admit(&bounds, Some(memory_budget), opts.batch_budget));
-    let replay =
-        lint_bound_soundness(db.store(), pattern, &bounds, &plan).map_err(|e| e.to_string())?;
+    let exec = budgeted(memory_budget, opts.batch_budget, opts.batch_rows);
+    let (bounds, mut report) = lint_bounds(pattern, &estimates, &model, &plan, &exec);
+    report.absorb("admit", admit(&bounds, &exec));
+    let replay = lint_bound_soundness(db.store(), pattern, &bounds, &plan, &exec)
+        .map_err(|e| e.to_string())?;
     report.absorb("replay", replay);
 
     if opts.json {
@@ -605,6 +608,17 @@ fn run_admit(opts: &Options, db: &Database, pattern: &sjos::Pattern) -> Result<b
     println!("verdict: {}", if report.is_clean() { "ADMITTED" } else { "REJECTED" });
     println!();
     Ok(finish(opts, &report))
+}
+
+/// Serial execution options under a `memory` byte budget and an
+/// optional batch-pull budget.
+fn budgeted(memory: u64, batches: Option<u64>, batch_rows: usize) -> ExecOptions {
+    let mut guard =
+        QueryGuard::unlimited().with_memory_budget(usize::try_from(memory).unwrap_or(usize::MAX));
+    if let Some(b) = batches {
+        guard = guard.with_batch_budget(b);
+    }
+    ExecOptions { guard: Arc::new(guard), batch_rows, ..ExecOptions::default() }
 }
 
 /// Lint every optimizer's plan (must be clean), then every mutation of
@@ -753,10 +767,10 @@ fn selftest(db: &Database, pattern: &sjos::Pattern) -> Result<bool, String> {
                 continue;
             }
         };
-        let (bounds, mut report) =
-            lint_bounds(pattern, &estimates, &model, &plan, sjos::exec::BATCH_ROWS);
-        report.absorb("admit", admit(&bounds, Some(DEFAULT_MEMORY_BUDGET), None));
-        match lint_bound_soundness(db.store(), pattern, &bounds, &plan) {
+        let exec = budgeted(DEFAULT_MEMORY_BUDGET, None, BATCH_ROWS);
+        let (bounds, mut report) = lint_bounds(pattern, &estimates, &model, &plan, &exec);
+        report.absorb("admit", admit(&bounds, &exec));
+        match lint_bound_soundness(db.store(), pattern, &bounds, &plan, &exec) {
             Ok(replay) => report.absorb("replay", replay),
             Err(e) => {
                 println!("  {:<12} FAILED to replay: {e}", algorithm.name());
@@ -778,8 +792,9 @@ fn selftest(db: &Database, pattern: &sjos::Pattern) -> Result<bool, String> {
     }
 
     println!("== starved budget (expected rejected) ==");
-    let (bounds, _) = lint_bounds(pattern, &estimates, &model, &base, sjos::exec::BATCH_ROWS);
-    let starved = admit(&bounds, Some(1), Some(1));
+    let starved = budgeted(1, Some(1), BATCH_ROWS);
+    let (bounds, _) = lint_bounds(pattern, &estimates, &model, &base, &starved);
+    let starved = admit(&bounds, &starved);
     if starved.is_clean() {
         println!("  1 B / 1 pull budget MISSED");
         ok = false;

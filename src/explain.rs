@@ -182,9 +182,7 @@ mod tests {
 
     #[test]
     fn analyze_summary_reports_spill_traffic_only_when_spilled() {
-        use std::sync::Arc;
-
-        use sjos_exec::{JoinAlgo, PlanNode, QueryGuard, SpillPolicy};
+        use sjos_exec::{ExecMode, ExecOptions, JoinAlgo, PlanNode, SpillPolicy};
         use sjos_pattern::{Axis, PnId};
 
         let mut xml = String::from("<dept>");
@@ -203,15 +201,11 @@ mod tests {
             algo: JoinAlgo::StackTreeDesc,
         };
         let plan = PlanNode::Sort { input: Box::new(inner), by: PnId(0) };
-        let guard = Arc::new(QueryGuard::unlimited());
-        let spilled = sjos_exec::execute_guarded_spill(
-            db.store(),
-            &pattern,
-            &plan,
-            &guard,
-            SpillPolicy::with_threshold(0),
-        )
-        .unwrap();
+        let mode = ExecMode::Spill(SpillPolicy::with_threshold(0));
+        let spilled = db
+            .execute_with(&pattern, &plan, &ExecOptions { mode, ..ExecOptions::default() })
+            .unwrap()
+            .result;
         let s = analyze_summary(&spilled);
         assert!(s.contains("spill:"), "{s}");
         assert!(s.contains("pages written"), "{s}");

@@ -61,8 +61,9 @@ pub use sjos_xml as xml;
 pub use sjos_core::OptimizerError;
 pub use sjos_core::{optimize, Algorithm, CostModel, OptimizedPlan};
 pub use sjos_exec::{
-    execute, BatchedResult, CancelToken, EngineError, GuardBreach, PlanNode, QueryGuard,
-    QueryResult, ResultSet, SpillPolicy, TupleBatch, BATCH_ROWS,
+    execute, execute_with, BatchedResult, CancelToken, EngineError, ExecMode, ExecOptions,
+    Execution, GuardBreach, PlanNode, QueryGuard, QueryResult, ResultSet, SpillPolicy, TupleBatch,
+    BATCH_ROWS,
 };
 pub use sjos_pattern::{parse_pattern, Pattern};
 pub use sjos_stats::{Catalog, PatternEstimates};
@@ -200,30 +201,19 @@ impl Database {
         Ok(execute(&self.store, pattern, plan)?)
     }
 
-    /// Execute an explicit plan under a resource [`QueryGuard`]:
-    /// deadline, batch budget, memory budget, and cancellation are
-    /// checked at every batch boundary, so a runaway plan stops
-    /// within one batch of tripping a limit. On a breach the error
-    /// carries the metrics accumulated up to the stop.
-    pub fn execute_guarded(
+    /// Execute an explicit plan as `opts` says: serial, parallel or
+    /// spilling, under its resource [`QueryGuard`] (deadline, batch
+    /// budget, memory budget and cancellation are checked at every
+    /// batch boundary, so a runaway plan stops within one batch of
+    /// tripping a limit; on a breach the error carries the metrics
+    /// accumulated up to the stop).
+    pub fn execute_with(
         &self,
         pattern: &Pattern,
         plan: &PlanNode,
-        guard: &Arc<QueryGuard>,
-    ) -> Result<QueryResult, Error> {
-        Ok(sjos_exec::execute_guarded(&self.store, pattern, plan, guard)?)
-    }
-
-    /// Execute an explicit plan, keeping the root operator's columnar
-    /// batches as emitted instead of flattening them to row-major
-    /// tuples — for inspecting the engine's ordering and row-count
-    /// invariants (planck's executed-plan lint builds on this).
-    pub fn execute_batches(
-        &self,
-        pattern: &Pattern,
-        plan: &PlanNode,
-    ) -> Result<BatchedResult, Error> {
-        Ok(sjos_exec::execute_batches(&self.store, pattern, plan)?)
+        opts: &ExecOptions,
+    ) -> Result<Execution, Error> {
+        Ok(execute_with(&self.store, pattern, plan, opts)?)
     }
 
     /// Measure this machine's cost factors against the loaded data
@@ -240,78 +230,39 @@ impl Database {
         (self, report)
     }
 
-    /// Derive guaranteed resource bounds for an explicit plan at the
-    /// default batch granularity: cardinality intervals per operator
-    /// plus worst-case peak buffering bytes and batch-pull counts,
-    /// computed from the catalog's exact index statistics without
-    /// executing anything (planck's PL060–PL064 family).
+    /// Derive guaranteed resource bounds for an explicit plan as the
+    /// default [`ExecOptions`] run it (serial, [`BATCH_ROWS`]):
+    /// cardinality intervals per operator plus worst-case peak
+    /// buffering bytes and batch-pull counts, computed from the
+    /// catalog's exact index statistics without executing anything
+    /// (planck's PL060–PL064 family).
     pub fn resource_bounds(
         &self,
         pattern: &Pattern,
         plan: &PlanNode,
     ) -> sjos_planck::ResourceBounds {
         let est = self.estimates(pattern);
-        sjos_planck::analyze_bounds(pattern, &est, &self.model, plan, BATCH_ROWS)
+        sjos_planck::analyze_bounds(pattern, &est, &self.model, plan, &ExecOptions::default())
     }
 
-    /// Static admission control: decide *before execution* whether
-    /// `plan` can possibly breach `guard`'s memory or batch budgets.
-    /// A clean report means no execution of the plan on this database
-    /// can trip the guard; running it is then breach-free by
-    /// construction rather than by mid-flight termination.
+    /// Static admission control: derive the bounds of `plan` as `opts`
+    /// runs it and decide *before execution* whether that run can
+    /// possibly breach the memory or batch budgets of `opts.guard`. A
+    /// clean report means no such execution on this database can trip
+    /// the guard; running it is then breach-free by construction
+    /// rather than by mid-flight termination. In spill mode the bounds
+    /// cap every sort at its resident footprint, so a clean report
+    /// admits a plan whose in-memory bound was rejected (PL066).
     pub fn admit(
         &self,
         pattern: &Pattern,
         plan: &PlanNode,
-        guard: &QueryGuard,
+        opts: &ExecOptions,
     ) -> (sjos_planck::ResourceBounds, sjos_planck::Report) {
-        let bounds = self.resource_bounds(pattern, plan);
-        let report = sjos_planck::admit_guard(&bounds, guard);
-        (bounds, report)
-    }
-
-    /// [`Database::resource_bounds`] re-derived under a spill policy:
-    /// every sort's buffer term is capped at the policy's *resident*
-    /// bound because the rest of its input lives in temp pages — the
-    /// certificate behind degraded admission (planck's PL066).
-    pub fn resource_bounds_spill(
-        &self,
-        pattern: &Pattern,
-        plan: &PlanNode,
-        policy: SpillPolicy,
-    ) -> sjos_planck::ResourceBounds {
         let est = self.estimates(pattern);
-        sjos_planck::analyze_bounds_spill(pattern, &est, &self.model, plan, BATCH_ROWS, policy)
-    }
-
-    /// Degraded static admission: like [`Database::admit`], but with
-    /// every sort allowed to spill under `policy`. A clean report
-    /// admits in spill mode a plan whose in-memory bound the guard
-    /// rejected (PL066).
-    pub fn admit_spill(
-        &self,
-        pattern: &Pattern,
-        plan: &PlanNode,
-        guard: &QueryGuard,
-        policy: SpillPolicy,
-    ) -> (sjos_planck::ResourceBounds, sjos_planck::Report) {
-        let bounds = self.resource_bounds_spill(pattern, plan, policy);
-        let report = sjos_planck::admit_spill_guard(&bounds, guard);
+        let bounds = sjos_planck::analyze_bounds(pattern, &est, &self.model, plan, opts);
+        let report = sjos_planck::admit(&bounds, opts);
         (bounds, report)
-    }
-
-    /// Execute an explicit plan with sorts spilling through the buffer
-    /// pool under `policy` — the degraded execution mode paired with
-    /// [`Database::admit_spill`]. Output is bit-identical to the
-    /// in-memory path; only the resident footprint changes.
-    pub fn execute_spill(
-        &self,
-        pattern: &Pattern,
-        plan: &PlanNode,
-        guard: &Arc<QueryGuard>,
-        policy: SpillPolicy,
-    ) -> Result<QueryResult, Error> {
-        Ok(sjos_exec::execute_guarded_spill(&self.store, pattern, plan, guard, policy)?)
     }
 
     /// Evaluate a pattern with the holistic twig join (TwigStack)
@@ -381,16 +332,19 @@ mod tests {
         let bounds = db.resource_bounds(&pattern, &plan);
         assert!(bounds.peak_bytes > 0);
 
-        let starved = QueryGuard::unlimited().with_memory_budget(1);
-        let (_, report) = db.admit(&pattern, &plan, &starved);
+        let budget = |bytes: u64| ExecOptions {
+            guard: Arc::new(QueryGuard::unlimited().with_memory_budget(bytes as usize)),
+            ..ExecOptions::default()
+        };
+        let (_, report) = db.admit(&pattern, &plan, &budget(1));
         assert!(!report.is_clean(), "a 1-byte budget must reject the plan");
 
-        let roomy = QueryGuard::unlimited().with_memory_budget(bounds.peak_bytes as usize);
+        let roomy = budget(bounds.peak_bytes);
         let (_, report) = db.admit(&pattern, &plan, &roomy);
         assert!(report.is_clean(), "{report}");
         // Admission is a guarantee: the admitted plan runs to
         // completion under the same guard.
-        db.execute_guarded(&pattern, &plan, &Arc::new(roomy)).unwrap();
+        db.execute_with(&pattern, &plan, &roomy).unwrap();
     }
 
     #[test]

@@ -7,17 +7,19 @@
 //!
 //! 1. **Global admission control** ([`admission`]). Every query's
 //!    plan carries a *certified* worst-case peak-memory bound from
-//!    [`sjos_planck::analyze_bounds`]; the controller admits queries
-//!    only while the sum of in-flight certificates fits the
+//!    [`sjos_planck::analyze_bounds`]. Admission is a ladder of
+//!    candidate runs — an [`sjos_exec::ExecMode`] each — and every
+//!    rung reserves planck's certificate for its mode
+//!    ([`sjos_planck::ResourceBounds::certificate`]) against the
 //!    service-wide budget, queueing (bounded FIFO, deadline-aware
 //!    timeout) or rejecting with [`ServiceError::Overloaded`]
-//!    otherwise. Because each query then runs under a
-//!    [`QueryGuard`] whose memory budget equals its certificate, and
-//!    certificates are sound upper bounds (PL064), the aggregate
-//!    *measured* footprint of admitted queries provably cannot exceed
-//!    the budget. A certificate that can *never* fit degrades instead
-//!    of failing: the plan is re-certified in spill mode
-//!    ([`sjos_planck::analyze_bounds_spill`], PL066) where sorts park
+//!    otherwise. Because each query then runs, through one
+//!    [`Database::execute_with`] call, under a [`QueryGuard`] whose
+//!    memory budget equals its certificate, and certificates are sound
+//!    upper bounds (PL064), the aggregate *measured* footprint of
+//!    admitted queries provably cannot exceed the budget. A
+//!    certificate that can *never* fit degrades instead of failing:
+//!    the plan is re-certified in spill mode (PL066) where sorts park
 //!    their buffers in temp pages, and admitted under the smaller
 //!    resident certificate — the query runs slower but answers
 //!    bit-identically.
@@ -26,12 +28,12 @@
 //!    bound, so repeated patterns skip DP/DPP entirely; every hit is
 //!    revalidated against the live catalog generation (PL065).
 //! 3. **Intra-query parallelism** ([`ServiceConfig::parallelism`]).
-//!    Above 1, non-degraded queries run morsel-partitioned through
-//!    [`sjos_exec::parallel`]: admission reserves `parallelism ×` the
-//!    plan's certificate (the aggregate a shared-guard morsel run is
-//!    bounded by), falling back to serial admission when the scaled
-//!    reservation does not fit; results and metric totals stay
-//!    bit-identical to the serial run (PL068).
+//!    Above 1, the ladder's first rung runs the query
+//!    morsel-partitioned through [`sjos_exec::parallel`] and reserves
+//!    `parallelism ×` the plan's certificate (the aggregate a
+//!    shared-guard morsel run is bounded by); when that does not fit,
+//!    the query falls to the serial rung. Results and metric totals
+//!    stay bit-identical to the serial run (PL068).
 //! 4. **Observability** ([`metrics`]). Per-session and aggregate
 //!    counters — admitted/queued/rejected, cache hit rate, latency
 //!    percentiles, certified vs. measured peaks — export as JSON via
@@ -51,7 +53,10 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use sjos_core::Algorithm;
-use sjos_exec::{PlanNode, QueryGuard, QueryResult, SpillPolicy, BATCH_ROWS};
+use sjos_exec::{
+    ExecMode, ExecOptions, ParallelPolicy, PlanNode, QueryGuard, QueryResult, SpillPolicy,
+    BATCH_ROWS,
+};
 use sjos_pattern::{parse_pattern, Pattern};
 use sjos_storage::{IoSnapshot, IoTap};
 
@@ -82,9 +87,10 @@ pub struct ServiceConfig {
     /// Worker threads per query (1 = serial, the default). Above 1,
     /// non-degraded queries run morsel-partitioned: admission
     /// reserves `parallelism ×` the plan's certificate (the sound
-    /// aggregate bound — see [`sjos_planck::admit_parallel`]) and
-    /// falls back to serial admission when that scaled reservation
-    /// does not fit. Degraded (spill) queries always run serially.
+    /// aggregate bound — see
+    /// [`sjos_planck::ResourceBounds::certificate`]) and falls back to
+    /// serial admission when that scaled reservation does not fit.
+    /// Degraded (spill) queries always run serially.
     pub parallelism: usize,
 }
 
@@ -416,55 +422,62 @@ impl Session {
                 }
             };
 
-        // Admission: reserve the certificate against the global
-        // budget, waiting at most the configured timeout (shortened
-        // by the query deadline, if any). A certificate that can
-        // *never* fit gets one more chance: re-certified in spill
-        // mode (PL066), where sorts park their buffers in temp pages
-        // and only the resident footprint counts.
+        // Admission: a ladder of candidate runs, each reserved at
+        // planck's certificate for its mode against the global budget,
+        // waiting at most the configured timeout (shortened by the
+        // query deadline, if any). Parallel first when `parallelism >
+        // 1` — any refusal falls through — then serial.
         let wait_limit = match deadline {
             Some(d) => queue_timeout.min(d),
             None => queue_timeout,
         };
-        // Parallel-first: a `parallelism > 1` service reserves
-        // `workers ×` the certificate, the aggregate a shared-guard
-        // morsel run is bounded by (sjos_planck::admit_parallel's
-        // scaling). If the scaled reservation does not fit, the query
-        // falls through to the plain serial path below rather than
-        // being rejected.
         let workers = inner.config.parallelism.max(1);
-        let mut parallel_grant: Option<(admission::AdmissionPermit<'_>, u64)> = None;
-        if workers > 1 {
-            let scaled = cached.bounds.peak_bytes.saturating_mul(workers as u64);
-            if let Ok(permit) = inner.admission.admit(scaled, wait_limit) {
-                parallel_grant = Some((permit, scaled));
+        let parallel =
+            (workers > 1).then(|| ExecMode::Parallel(ParallelPolicy::with_threads(workers)));
+        let mut granted = None;
+        let mut rejection = None;
+        for mode in parallel.into_iter().chain([ExecMode::Serial]) {
+            let certified = cached.bounds.certificate(&mode).peak_bytes;
+            // The parallel rung may wait the whole limit; later rungs
+            // wait what is left of it since the query arrived.
+            let wait = match mode {
+                ExecMode::Parallel(_) => wait_limit,
+                _ => wait_limit.saturating_sub(started.elapsed()),
+            };
+            match inner.admission.admit(certified, wait) {
+                Ok(permit) => {
+                    granted = Some((permit, certified, mode));
+                    break;
+                }
+                Err(r) => rejection = Some(r),
             }
         }
-        let remaining_wait = wait_limit.saturating_sub(started.elapsed());
-        let (permit, certified, spill, parallel) = match parallel_grant {
-            Some((permit, scaled)) => (permit, scaled, None, true),
-            None => match inner.admission.admit(cached.bounds.peak_bytes, remaining_wait) {
-                Ok(permit) => (permit, cached.bounds.peak_bytes, None, false),
-                Err(rejection) if rejection.reason == RejectReason::NeverFits => {
-                    let budget = inner.admission.budget();
-                    let Some((policy, bounds)) =
-                        degraded_certificate(&inner.db, &pattern, &cached.plan, budget)
-                    else {
-                        // No sort to spill, or not even the spill
-                        // floor fits: the rejection stands.
-                        return Err(ServiceError::Overloaded(rejection));
-                    };
-                    let remaining = wait_limit.saturating_sub(started.elapsed());
-                    let permit = inner
-                        .admission
-                        .admit(bounds.peak_bytes, remaining)
-                        .map_err(ServiceError::Overloaded)?;
-                    inner.metrics.degraded_admissions.fetch_add(1, Ordering::Relaxed);
-                    self.metrics.degraded.fetch_add(1, Ordering::Relaxed);
-                    (permit, bounds.peak_bytes, Some(policy), false)
-                }
-                Err(rejection) => return Err(ServiceError::Overloaded(rejection)),
-            },
+        let (permit, certified, mode) = match (granted, rejection) {
+            (Some(grant), _) => grant,
+            // A certificate that can *never* fit gets one more rung:
+            // the plan re-certified in spill mode (PL066), where sorts
+            // park their buffers in temp pages and only the resident
+            // footprint counts. No sort to spill, or not even the
+            // spill floor fits: the serial rejection stands.
+            (None, Some(rejection)) if rejection.reason == RejectReason::NeverFits => {
+                let budget = inner.admission.budget();
+                let Some((policy, certified)) =
+                    degraded_certificate(&inner.db, &pattern, &cached.plan, budget)
+                else {
+                    return Err(ServiceError::Overloaded(rejection));
+                };
+                let remaining = wait_limit.saturating_sub(started.elapsed());
+                let permit = inner
+                    .admission
+                    .admit(certified, remaining)
+                    .map_err(ServiceError::Overloaded)?;
+                inner.metrics.degraded_admissions.fetch_add(1, Ordering::Relaxed);
+                self.metrics.degraded.fetch_add(1, Ordering::Relaxed);
+                (permit, certified, ExecMode::Spill(policy))
+            }
+            (None, rejection) => {
+                return Err(ServiceError::Overloaded(rejection.expect("the serial rung ran")));
+            }
         };
         let waited = started.elapsed();
 
@@ -476,44 +489,22 @@ impl Session {
         if let Some(d) = deadline {
             guard = guard.with_deadline(d.saturating_sub(waited));
         }
-        let guard = Arc::new(guard);
+        let opts = ExecOptions { mode, guard: Arc::new(guard), ..ExecOptions::default() };
         let io_before = self.metrics.io.snapshot();
         let result = {
             // The tap is installed on this session thread; the
             // parallel executor mirrors it onto every worker
             // (IoTap::current), so attribution survives the hop.
             let _tap = IoTap::install(Arc::clone(&self.metrics.io));
-            match spill {
-                Some(policy) => sjos_exec::execute_guarded_spill(
-                    inner.db.store(),
-                    &pattern,
-                    &cached.plan,
-                    &guard,
-                    policy,
-                )
-                .map(|r| (r, 1)),
-                None if parallel => sjos_exec::execute_parallel_guarded(
-                    inner.db.store(),
-                    &pattern,
-                    &cached.plan,
-                    &guard,
-                    sjos_exec::ParallelPolicy::with_threads(workers),
-                )
-                .map(|p| {
-                    let morsels = p.morsel_count();
-                    (p.result, morsels)
-                }),
-                None => {
-                    sjos_exec::execute_guarded(inner.db.store(), &pattern, &cached.plan, &guard)
-                        .map(|r| (r, 1))
-                }
-            }
+            inner.db.execute_with(&pattern, &cached.plan, &opts)
         };
         drop(permit);
         let io = self.metrics.io.snapshot().since(&io_before);
 
         match result {
-            Ok((result, morsels)) => {
+            Ok(execution) => {
+                let morsels = execution.morsel_count();
+                let result = execution.result;
                 inner.metrics.completed.fetch_add(1, Ordering::Relaxed);
                 inner.metrics.record_latency(started.elapsed());
                 inner.metrics.record_peaks(result.metrics.peak_bytes, certified);
@@ -523,13 +514,13 @@ impl Session {
                     result,
                     plan: cached,
                     cache_hit,
-                    degraded: spill.is_some(),
+                    degraded: matches!(mode, ExecMode::Spill(_)),
                     waited,
                     io,
                     morsels,
                 })
             }
-            Err(e) => Err(ServiceError::Engine(Error::Exec(e))),
+            Err(e) => Err(ServiceError::Engine(e)),
         }
     }
 }
@@ -560,34 +551,37 @@ fn max_sort_width(plan: &PlanNode) -> Option<usize> {
 }
 
 /// Find a spill policy under which `plan`'s resident certificate fits
-/// `budget`, if one exists: start from the largest threshold whose
-/// sort-local resident bound fits (keeping as much of the sort in
-/// memory as possible), and while the whole-plan certificate still
-/// overshoots — the other operators' buffers, or a sort whose full
-/// materialization is below the cap — shrink the threshold by the
-/// overshoot, down to the floor of zero. The resident peak is
-/// monotone in the threshold, so a handful of strictly-decreasing
-/// steps either certifies (PL066) or proves not even the floor fits.
+/// `budget`, and that certificate, if one exists: start from the
+/// largest threshold whose sort-local resident bound fits (keeping as
+/// much of the sort in memory as possible), and while the whole-plan
+/// certificate still overshoots — the other operators' buffers, or a
+/// sort whose full materialization is below the cap — shrink the
+/// threshold by the overshoot, up to four times, and then try the
+/// floor of zero. The resident peak is monotone in the threshold, so
+/// `None` means not even the floor fits (PL066).
 fn degraded_certificate(
     db: &Database,
     pattern: &Pattern,
     plan: &PlanNode,
     budget: u64,
-) -> Option<(SpillPolicy, sjos_planck::ResourceBounds)> {
+) -> Option<(SpillPolicy, u64)> {
     let width = max_sort_width(plan)?;
     let budget_usize = usize::try_from(budget).unwrap_or(usize::MAX);
+    let guard = Arc::new(QueryGuard::unlimited().with_memory_budget(budget_usize));
     let mut threshold = SpillPolicy::for_budget(budget_usize, width, BATCH_ROWS)?.threshold_bytes;
-    for _ in 0..4 {
+    for step in 1.. {
         let policy = SpillPolicy::with_threshold(threshold);
-        let bounds = db.resource_bounds_spill(pattern, plan, policy);
-        if sjos_planck::admit_spill(&bounds, Some(budget), None).is_clean() {
-            return Some((policy, bounds));
+        let mode = ExecMode::Spill(policy);
+        let opts = ExecOptions { mode, guard: Arc::clone(&guard), ..ExecOptions::default() };
+        let (bounds, report) = db.admit(pattern, plan, &opts);
+        if report.is_clean() {
+            return Some((policy, bounds.certificate(&mode).peak_bytes));
         }
         if threshold == 0 {
-            return None;
+            break;
         }
         let over = usize::try_from(bounds.peak_bytes.saturating_sub(budget)).unwrap_or(usize::MAX);
-        threshold = threshold.saturating_sub(over.max(1));
+        threshold = if step < 4 { threshold.saturating_sub(over.max(1)) } else { 0 };
     }
     None
 }
@@ -597,6 +591,93 @@ mod tests {
     use super::*;
 
     fn assert_send_sync<T: Send + Sync>() {}
+
+    /// Spill mode at the floor threshold of zero.
+    fn spill_floor() -> ExecOptions {
+        let mode = ExecMode::Spill(SpillPolicy::with_threshold(0));
+        ExecOptions { mode, ..ExecOptions::default() }
+    }
+
+    /// Serve `plan` for `query` from a fresh service with `budget`, the
+    /// plan planted in its cache so the service runs exactly it.
+    fn serve_planted(
+        db: &Arc<Database>,
+        query: &str,
+        plan: &PlanNode,
+        budget: u64,
+    ) -> (QueryService, Result<ServiceOutcome, ServiceError>) {
+        let pattern = parse_pattern(query).unwrap();
+        let algorithm = Algorithm::Dpp { lookahead: true };
+        let service = QueryService::new(
+            Arc::clone(db),
+            ServiceConfig { memory_budget: budget, ..ServiceConfig::default() },
+        );
+        let catalog = db.catalog();
+        service.inner.cache.insert(
+            PlanKey {
+                signature: pattern.to_string(),
+                algorithm,
+                catalog_version: catalog.version(),
+            },
+            Arc::new(CachedPlan {
+                plan: plan.clone(),
+                estimated_cost: 0.0,
+                bounds: db.resource_bounds(&pattern, plan),
+                catalog_version: catalog.version(),
+                catalog_fingerprint: catalog.fingerprint(),
+            }),
+        );
+        let out = service.session().query(query);
+        (service, out)
+    }
+
+    /// A plan whose non-sort buffers dominate its certificate: the
+    /// threshold descent barely moves the peak, because the sort's
+    /// full input sits below every stepped cap, so only the floor of
+    /// zero fits a budget just above the floor certificate.
+    #[test]
+    fn degraded_admission_reaches_the_spill_floor() {
+        use sjos_exec::JoinAlgo;
+        use sjos_pattern::{Axis, PnId};
+
+        let mut xml = String::from("<db>");
+        for _ in 0..8_000 {
+            xml.push_str("<dept><emp/><emp/><emp/></dept>");
+        }
+        xml.push_str("</db>");
+        let db = Arc::new(Database::from_xml(&xml).unwrap());
+        let query = "//dept//emp";
+        let pattern = parse_pattern(query).unwrap();
+        // MPMGJN buffers its whole descendant window; the sort holds
+        // only the dept list.
+        let plan = PlanNode::StructuralJoin {
+            left: Box::new(PlanNode::Sort {
+                input: Box::new(PlanNode::IndexScan { pnode: PnId(0) }),
+                by: PnId(0),
+            }),
+            right: Box::new(PlanNode::IndexScan { pnode: PnId(1) }),
+            anc: PnId(0),
+            desc: PnId(1),
+            axis: Axis::Descendant,
+            algo: JoinAlgo::MergeJoin,
+        };
+        let full = db.resource_bounds(&pattern, &plan);
+        let floor = db.admit(&pattern, &plan, &spill_floor()).0;
+        assert!(floor.peak_bytes < full.peak_bytes);
+
+        let budget = floor.peak_bytes + 1;
+        let (service, out) = serve_planted(&db, query, &plan, budget);
+        let out = out.expect("the spill floor fits the budget");
+        assert!(out.degraded);
+        // Only the floor fits, so the spill rung reserved its
+        // certificate, not the budget.
+        assert_eq!(service.admission_snapshot().peak_in_use, floor.peak_bytes);
+        assert_eq!(
+            out.result.canonical_rows(),
+            db.execute(&pattern, &plan).unwrap().canonical_rows()
+        );
+        assert_eq!(db.store().spill().live_pages(), 0, "no leaked temp pages");
+    }
 
     #[test]
     fn service_types_are_shareable() {
@@ -622,11 +703,10 @@ mod tests {
         let db = Arc::new(Database::from_xml(&xml).unwrap());
         let query = "//dept//emp";
         let pattern = parse_pattern(query).unwrap();
-        let algorithm = Algorithm::Dpp { lookahead: true };
-        let base = db.optimize(&pattern, algorithm).unwrap();
-        let plan = sjos_exec::PlanNode::Sort { input: Box::new(base.plan.clone()), by: PnId(0) };
+        let base = db.optimize(&pattern, Algorithm::Dpp { lookahead: true }).unwrap();
+        let plan = PlanNode::Sort { input: Box::new(base.plan), by: PnId(0) };
         let full = db.resource_bounds(&pattern, &plan);
-        let floor = db.resource_bounds_spill(&pattern, &plan, SpillPolicy::with_threshold(0));
+        let floor = db.admit(&pattern, &plan, &spill_floor()).0;
         assert!(
             floor.peak_bytes < full.peak_bytes,
             "corpus too small: spilling must shrink the certificate \
@@ -636,31 +716,10 @@ mod tests {
         );
 
         // A budget the in-memory certificate can never fit, but the
-        // spill floor can.
-        let service = QueryService::new(
-            Arc::clone(&db),
-            ServiceConfig { memory_budget: floor.peak_bytes, ..ServiceConfig::default() },
-        );
-        // Seed the cache with the sort-rooted plan so the service
-        // serves exactly this shape.
-        let catalog = db.catalog();
-        service.inner.cache.insert(
-            PlanKey {
-                signature: pattern.to_string(),
-                algorithm,
-                catalog_version: catalog.version(),
-            },
-            Arc::new(CachedPlan {
-                plan: plan.clone(),
-                estimated_cost: base.estimated_cost,
-                bounds: full,
-                catalog_version: catalog.version(),
-                catalog_fingerprint: catalog.fingerprint(),
-            }),
-        );
-
-        let session = service.session();
-        let out = session.query(query).unwrap();
+        // spill floor can; the sort-rooted plan is planted in the cache
+        // so the service serves exactly this shape.
+        let (service, out) = serve_planted(&db, query, &plan, floor.peak_bytes);
+        let out = out.unwrap();
         assert!(out.degraded, "the query must be admitted in spill mode");
         assert!(out.result.metrics.spilled_runs > 0, "the sort must actually spill");
         assert_eq!(
@@ -669,6 +728,12 @@ mod tests {
             "degraded execution must answer bit-identically"
         );
         assert_eq!(db.store().spill().live_pages(), 0, "no leaked temp pages");
+        // The spill rung reserved planck's spill certificate: with the
+        // budget at the floor, the floor's.
+        assert_eq!(
+            service.admission_snapshot().peak_in_use,
+            floor.certificate(&spill_floor().mode).peak_bytes
+        );
 
         let m = service.metrics();
         assert_eq!(m.degraded_admissions.load(Ordering::Relaxed), 1);
@@ -701,10 +766,13 @@ mod tests {
         assert_eq!(p.result.canonical_rows(), s.result.canonical_rows());
         assert_eq!(p.result.metrics.output_tuples, s.result.metrics.output_tuples);
         assert_eq!(p.result.metrics.stack_pushes, s.result.metrics.stack_pushes);
-        // Admission reserved the scaled certificate, not the serial one.
-        assert!(
-            parallel.admission_snapshot().peak_in_use
-                >= 4 * serial.admission_snapshot().peak_in_use
+        // Each rung reserved planck's certificate for its mode.
+        let bounds = db.resource_bounds(&parse_pattern(query).unwrap(), &p.plan.plan);
+        let four = ExecMode::Parallel(ParallelPolicy::with_threads(4));
+        assert_eq!(parallel.admission_snapshot().peak_in_use, bounds.certificate(&four).peak_bytes);
+        assert_eq!(
+            serial.admission_snapshot().peak_in_use,
+            bounds.certificate(&ExecMode::Serial).peak_bytes
         );
         // The worker-side I/O still lands in this session's tap.
         assert!(p.io.record_reads > 0, "worker record reads must attribute to the session");

@@ -15,10 +15,8 @@ use sjos::core::random_plan;
 use sjos::datagen::{
     dblp::dblp, fold_document, mbench::mbench, paper_queries, pers::pers, DataSet, GenConfig,
 };
-use sjos::{Algorithm, Database, PlanNode, QueryGuard};
-use sjos_exec::{
-    execute_parallel_opts, execute_with_batch_rows, naive, ParallelPolicy, Tuple, BATCH_ROWS,
-};
+use sjos::{Algorithm, BatchedResult, Database, ExecOptions, PlanNode, QueryGuard};
+use sjos_exec::{execute_parallel_opts, naive, ParallelPolicy, Tuple, BATCH_ROWS};
 
 /// Granularities under test: the tuple-at-a-time degenerate case, an
 /// awkward size that never divides the row counts, and production.
@@ -50,8 +48,11 @@ fn check(db: &Database, query: &str, seed: u64) {
     for (name, plan) in &plans {
         let mut stack_traffic = Vec::new();
         for &rows in &BATCH_SIZES {
-            let result = execute_with_batch_rows(db.store(), &pattern, plan, rows)
-                .unwrap_or_else(|e| panic!("{query} via {name}: {e}"));
+            let opts = ExecOptions { batch_rows: rows, ..ExecOptions::default() };
+            let result = db
+                .execute_with(&pattern, plan, &opts)
+                .unwrap_or_else(|e| panic!("{query} via {name}: {e}"))
+                .result;
             assert_eq!(
                 result.canonical_rows(),
                 expected,
@@ -118,7 +119,7 @@ fn result_set_rows_equal_the_flattened_root_stream() {
         for q in paper_queries().into_iter().filter(|q| q.dataset == ds) {
             let pattern = q.pattern();
             let plan = db.optimize(&pattern, Algorithm::Dpp { lookahead: true }).unwrap().plan;
-            let stream = db.execute_batches(&pattern, &plan).unwrap();
+            let stream = BatchedResult::from(db.execute(&pattern, &plan).unwrap());
             let flat: Vec<Tuple> =
                 stream.batches.iter().flat_map(|b| (0..b.len()).map(move |r| b.row(r))).collect();
             for batch_rows in BATCH_SIZES {

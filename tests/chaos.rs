@@ -182,8 +182,7 @@ fn spilling_queries_survive_seeded_write_faults() {
     use std::sync::Arc;
 
     use sjos::pattern::PnId;
-    use sjos::{PlanNode, QueryGuard, SpillPolicy};
-    use sjos_exec::execute_spill_with_batch_rows;
+    use sjos::{ExecMode, ExecOptions, PlanNode, QueryGuard, SpillPolicy};
 
     let doc = pers(GenConfig::sized(1_500));
     let db = Database::from_document(doc.clone());
@@ -208,8 +207,12 @@ fn spilling_queries_survive_seeded_write_faults() {
         FaultPlan::none(),
     );
     let fault = store.fault().expect("faulty store exposes its fault handle").clone();
-    let guard = Arc::new(QueryGuard::unlimited());
-    let policy = SpillPolicy::with_threshold(0);
+    let opts = ExecOptions {
+        mode: ExecMode::Spill(SpillPolicy::with_threshold(0)),
+        guard: Arc::new(QueryGuard::unlimited()),
+        batch_rows: 64,
+        materialize: true,
+    };
 
     let mut recovered = 0u32;
     let mut failed = 0u32;
@@ -235,8 +238,7 @@ fn spilling_queries_survive_seeded_write_faults() {
             store.pool().reset_cache().expect("cache reset on a quiet disk");
             fault.set_plan(plan);
             for (id, pattern, plan_node, baseline) in &cases {
-                match execute_spill_with_batch_rows(&store, pattern, plan_node, 64, &guard, policy)
-                {
+                match sjos::execute_with(&store, pattern, plan_node, &opts).map(|e| e.result) {
                     Ok(res) => {
                         assert_eq!(
                             &res.canonical_rows(),
@@ -275,7 +277,8 @@ fn spilling_queries_survive_seeded_write_faults() {
 #[test]
 fn parallel_queries_survive_seeded_fault_plans() {
     use sjos::datagen::fold_document;
-    use sjos_exec::execute_parallel;
+    use sjos::{ExecMode, ExecOptions};
+    use sjos_exec::ParallelPolicy;
 
     let doc = fold_document(&pers(GenConfig::sized(600)), 5);
     let db = Database::from_document(doc.clone());
@@ -298,6 +301,10 @@ fn parallel_queries_survive_seeded_fault_plans() {
     );
     let fault = store.fault().expect("faulty store exposes its fault handle").clone();
 
+    let four_threads = ExecOptions {
+        mode: ExecMode::Parallel(ParallelPolicy::with_threads(4)),
+        ..ExecOptions::default()
+    };
     let mut recovered = 0u32;
     let mut failed = 0u32;
     let mut split_runs = 0u32;
@@ -307,7 +314,7 @@ fn parallel_queries_survive_seeded_fault_plans() {
             store.pool().reset_cache().expect("cache reset on a quiet disk");
             fault.set_plan(plan);
             for (id, pattern, plan_node, baseline) in &cases {
-                match execute_parallel(&store, pattern, plan_node, 4) {
+                match sjos::execute_with(&store, pattern, plan_node, &four_threads) {
                     Ok(out) => {
                         assert_eq!(
                             out.result.tuples, baseline.tuples,

@@ -18,12 +18,18 @@ use proptest::prelude::*;
 use sjos::datagen::{
     dblp::dblp, fold_document, mbench::mbench, paper_queries, pers::pers, DataSet, GenConfig,
 };
-use sjos::{Algorithm, Database, EngineError, GuardBreach, QueryGuard, BATCH_ROWS};
-use sjos_exec::{
-    execute_parallel, execute_parallel_opts, partition_regions, scatter, stitch, ParallelPolicy,
+use sjos::{
+    Algorithm, Database, EngineError, ExecMode, ExecOptions, GuardBreach, QueryGuard, BATCH_ROWS,
 };
+use sjos_exec::{execute_parallel_opts, partition_regions, scatter, stitch, ParallelPolicy};
 use sjos_storage::{IoStats, IoTap};
 use sjos_xml::Region;
+
+/// Default options across `threads` workers.
+fn parallel(threads: usize) -> ExecOptions {
+    let mode = ExecMode::Parallel(ParallelPolicy::with_threads(threads));
+    ExecOptions { mode, ..ExecOptions::default() }
+}
 
 /// Worker counts under test; 1 must be the serial engine itself.
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -152,7 +158,7 @@ fn worker_thread_io_lands_in_the_session_tap() {
     let before = stats.snapshot();
     let outcome = {
         let _tap = IoTap::install(Arc::clone(&stats));
-        execute_parallel(db.store(), &pattern, &plan, 4).expect("parallel run")
+        db.execute_with(&pattern, &plan, &parallel(4)).expect("parallel run")
     };
     let after = stats.snapshot();
     assert!(outcome.morsel_count() > 1, "query must actually split for this test to bite");
@@ -286,7 +292,7 @@ fn tap_delta_partitions_the_global_delta_at_every_thread_count() {
         let tap_before = stats.snapshot();
         {
             let _tap = IoTap::install(Arc::clone(&stats));
-            execute_parallel(db.store(), &pattern, &plan, threads).expect("parallel run");
+            db.execute_with(&pattern, &plan, &parallel(threads)).expect("parallel run");
         }
         let global = db.store().stats().snapshot().since(&global_before);
         let tapped = stats.snapshot().since(&tap_before);

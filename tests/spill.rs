@@ -17,13 +17,28 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use sjos::datagen::{paper_queries, pers::pers, DataSet, GenConfig};
-use sjos::{Algorithm, Database, EngineError, GuardBreach, PlanNode, QueryGuard, SpillPolicy};
-use sjos_exec::{
-    execute_guarded_spill, execute_spill_with_batch_rows, execute_with_batch_rows, naive,
-    CancelToken, JoinAlgo, BATCH_ROWS,
+use sjos::{
+    Algorithm, Database, EngineError, ExecMode, ExecOptions, GuardBreach, PlanNode, QueryGuard,
+    QueryResult, SpillPolicy,
 };
+use sjos_exec::{naive, CancelToken, JoinAlgo, BATCH_ROWS};
 use sjos_pattern::{Axis, Pattern, PnId};
 use sjos_xml::{Document, DocumentBuilder};
+
+/// Run `plan` serially at `batch_rows` under `guard`, its sorts
+/// spilling under `policy` when one is given.
+fn run(
+    db: &Database,
+    pattern: &Pattern,
+    plan: &PlanNode,
+    batch_rows: usize,
+    guard: &Arc<QueryGuard>,
+    policy: Option<SpillPolicy>,
+) -> Result<QueryResult, EngineError> {
+    let mode = policy.map_or(ExecMode::Serial, ExecMode::Spill);
+    let opts = ExecOptions { mode, guard: Arc::clone(guard), batch_rows, materialize: true };
+    sjos_exec::execute_with(db.store(), pattern, plan, &opts).map(|e| e.result)
+}
 
 /// Granularities under test: the tuple-at-a-time degenerate case, an
 /// awkward size that never divides the row counts, and production.
@@ -107,22 +122,15 @@ fn spilled_sorts_match_in_memory_bit_for_bit() {
     for (id, pattern, expected) in &expected_naive {
         let plan = sort_wrapped(&db, pattern);
         for &rows in &BATCH_SIZES {
-            let base = execute_with_batch_rows(db.store(), pattern, &plan, rows)
+            let base = run(&db, pattern, &plan, rows, &unlimited, None)
                 .unwrap_or_else(|e| panic!("{id} in-memory at batch_rows={rows}: {e}"));
             assert_eq!(&base.canonical_rows(), expected, "{id} diverged from naive");
             for &threshold in &THRESHOLDS {
                 let policy = SpillPolicy::with_threshold(threshold);
-                let spilled = execute_spill_with_batch_rows(
-                    db.store(),
-                    pattern,
-                    &plan,
-                    rows,
-                    &unlimited,
-                    policy,
-                )
-                .unwrap_or_else(|e| {
-                    panic!("{id} spill at batch_rows={rows} threshold={threshold}: {e}")
-                });
+                let spilled = run(&db, pattern, &plan, rows, &unlimited, Some(policy))
+                    .unwrap_or_else(|e| {
+                        panic!("{id} spill at batch_rows={rows} threshold={threshold}: {e}")
+                    });
                 assert_eq!(
                     spilled.tuples, base.tuples,
                     "{id} at batch_rows={rows} threshold={threshold}: spill changed the answer"
@@ -158,7 +166,8 @@ fn starved_guard_query_completes_bit_identically_via_spill() {
 
     // Budget exactly at the spill-mode certificate: far below the full
     // materialization, honest about the degraded residency.
-    let floor = db.resource_bounds_spill(&pattern, &plan, SpillPolicy::with_threshold(0));
+    let mode = ExecMode::Spill(SpillPolicy::with_threshold(0));
+    let floor = db.admit(&pattern, &plan, &ExecOptions { mode, ..ExecOptions::default() }).0;
     let full = db.resource_bounds(&pattern, &plan);
     assert!(
         floor.peak_bytes < full.peak_bytes,
@@ -185,7 +194,7 @@ fn starved_guard_query_completes_bit_identically_via_spill() {
     let policy = SpillPolicy::for_budget(budget, 2, BATCH_ROWS)
         .expect("budget at the spill certificate admits a policy");
     let guard = Arc::new(QueryGuard::unlimited().with_memory_budget(budget));
-    let spilled = execute_guarded_spill(db.store(), &pattern, &plan, &guard, policy)
+    let spilled = run(&db, &pattern, &plan, BATCH_ROWS, &guard, Some(policy))
         .expect("spill run under the starved budget");
     assert_eq!(spilled.tuples, baseline.tuples, "spill changed the answer");
     assert!(spilled.metrics.spilled_runs > 0, "starved run never spilled");
@@ -212,7 +221,7 @@ fn guard_stops_and_cancellation_leave_no_residue() {
     let token = CancelToken::new();
     token.cancel();
     let guard = Arc::new(QueryGuard::unlimited().with_cancel_token(token));
-    let err = execute_guarded_spill(db.store(), &pattern, &plan, &guard, policy).unwrap_err();
+    let err = run(&db, &pattern, &plan, BATCH_ROWS, &guard, Some(policy)).unwrap_err();
     assert!(
         matches!(err, EngineError::Guard { breach: GuardBreach::Cancelled, .. }),
         "pre-cancelled run must stop on the token, got: {err}"
@@ -220,7 +229,7 @@ fn guard_stops_and_cancellation_leave_no_residue() {
     assert_no_residue(&db, "cancelled spill run");
 
     let guard = Arc::new(QueryGuard::unlimited().with_batch_budget(2));
-    let err = execute_guarded_spill(db.store(), &pattern, &plan, &guard, policy).unwrap_err();
+    let err = run(&db, &pattern, &plan, BATCH_ROWS, &guard, Some(policy)).unwrap_err();
     assert!(
         matches!(err, EngineError::Guard { breach: GuardBreach::BatchBudget { .. }, .. }),
         "two pulls cannot finish this plan, got: {err}"
@@ -230,7 +239,7 @@ fn guard_stops_and_cancellation_leave_no_residue() {
     // A budget below even one output batch: the breach fires *after*
     // runs have gone to disk, the classic mid-spill abort.
     let guard = Arc::new(QueryGuard::unlimited().with_memory_budget(16));
-    let err = execute_guarded_spill(db.store(), &pattern, &plan, &guard, policy).unwrap_err();
+    let err = run(&db, &pattern, &plan, BATCH_ROWS, &guard, Some(policy)).unwrap_err();
     assert!(
         matches!(err, EngineError::Guard { breach: GuardBreach::MemoryBudget { .. }, .. }),
         "a 16-byte budget must breach, got: {err}"
@@ -330,8 +339,7 @@ proptest! {
         let guard = Arc::new(QueryGuard::unlimited().with_memory_budget(budget));
         let policy = SpillPolicy::for_budget(budget, width, batch_rows)
             .unwrap_or_else(|| SpillPolicy::with_threshold(0));
-        match execute_spill_with_batch_rows(db.store(), &pattern, &plan, batch_rows, &guard, policy)
-        {
+        match run(&db, &pattern, &plan, batch_rows, &guard, Some(policy)) {
             Ok(result) => {
                 prop_assert_eq!(
                     result.canonical_rows(),
